@@ -1,8 +1,9 @@
 """End-to-end acceptance checks.
 
-Every test prints one ``[criterion N] PASS/FAIL`` line directly to the
-terminal (bypassing capture) before asserting, so a plain ``pytest -v``
-shows the verdict for each criterion.
+Every criterion test prints one ``[criterion N] PASS/FAIL`` line directly
+to the terminal (bypassing capture) before asserting, so a plain
+``pytest -v`` shows the verdict for each criterion. The golden records test
+pins the packaged benchmark's records themselves.
 """
 
 import time
@@ -100,6 +101,48 @@ class TestCriterion1BenchmarkOrdering:
             else f"success% {rates}, missing jerk medians, {elapsed:.1f}s"
         )
         report(1, "benchmark method ordering", ok, detail)
+
+
+# Records of the packaged config: (method, seed, success, path_length,
+# avg_jerk, iterations_used). A change to any of them changes what the
+# benchmark reports and has to be deliberate.
+GOLDEN_RECORDS = [
+    ("nfg", 0, True, 9.659085585606077, 1896.0650707984396, 100),
+    ("nfg", 1, True, 9.730122692903551, 4542.357510860333, 100),
+    ("nfg", 2, True, 10.496664053581197, 9489.806684079615, 100),
+    ("nfg", 3, True, 9.70106405004015, 1906.9162769303548, 100),
+    ("nfg", 4, True, 10.225664685687429, 11659.250307882605, 100),
+    ("stomp", 0, False, 9.51958260168796, None, 100),
+    ("stomp", 1, True, 9.098541356698984, 19541.24026530239, 100),
+    ("stomp", 2, False, 8.554986264044391, None, 100),
+    ("stomp", 3, False, 8.61467558501195, None, 100),
+    ("stomp", 4, False, 8.08798452818541, None, 100),
+    ("chomp", 0, False, 4.000000000000002, None, 100),
+    ("chomp", 1, False, 4.000000000000002, None, 100),
+    ("chomp", 2, False, 4.000000000000002, None, 100),
+    ("chomp", 3, False, 4.000000000000002, None, 100),
+    ("chomp", 4, False, 4.000000000000002, None, 100),
+    ("mppi", 0, True, 22.435361363314716, 569912.5540952261, 100),
+    ("mppi", 1, False, 23.562997708541733, None, 100),
+    ("mppi", 2, True, 20.967400747994688, 523770.7646667436, 100),
+    ("mppi", 3, False, 22.22977538888152, None, 100),
+    ("mppi", 4, True, 25.20392540794012, 664540.5336017621, 100),
+]
+
+
+class TestGoldenRecords:
+    def test_packaged_config_reproduces_golden_records(self, full_benchmark):
+        _, records, _, _ = full_benchmark
+        got = [(r.method, r.seed, r.success, r.iterations_used) for r in records]
+        assert got == [(m, s, ok, n) for m, s, ok, _, _, n in GOLDEN_RECORDS]
+        # the BLAS thread count moves lengths and jerks by about 1e-12
+        # relative, so those are compared to a relative 1e-9
+        for record, (_, _, _, length, jerk, _) in zip(records, GOLDEN_RECORDS):
+            assert record.path_length == pytest.approx(length, rel=1e-9, abs=0.0), record
+            if jerk is None:
+                assert record.avg_jerk is None, record
+            else:
+                assert record.avg_jerk == pytest.approx(jerk, rel=1e-9, abs=0.0), record
 
 
 class TestCriterion2SmoothedGradientIdentity:
