@@ -1,80 +1,32 @@
 """Function-space trajectory optimization with a natural functional
 gradient, three baseline optimizers, and a seeded narrow-passage benchmark.
+
+The package root exports what the CLI, the README and the benchmark use;
+everything else is imported from its submodule.
 """
 
 from ._kernels import BACKEND
-from .baselines import (
-    ChompConfig,
-    MppiConfig,
-    StompConfig,
-    chomp_gradient,
-    chomp_optimize,
-    mppi_optimize,
-    softmin_weights,
-    stomp_iterate,
-    stomp_optimize,
-    stomp_weights,
-    wiener_noise,
-)
 from .bench import (
-    BenchConfig,
-    ExternalEvaluation,
-    MethodSpec,
-    RunRecord,
     aggregate,
-    derive_seed,
     evaluate_external,
     format_summary,
     load_config,
     parse_config,
     read_records_csv,
     run_benchmark,
-    run_single,
-    write_records_csv,
     write_summary_csv,
 )
-from .environment import (
-    BoxEnvironment,
-    BoxObstacle,
-    ScoreConfig,
-    batch_scores,
-    exp_transform,
-    is_collision_free,
-    load_preset,
-    narrow_passage_v1,
-    penetration_profile,
-    penetration_step,
-    trajectory_score,
-)
-from .errors import ConfigError, DegenerateBatchError, DegeneratePathError
-from .nfg import (
-    IterationTrace,
-    NfgConfig,
-    batch_weights,
-    estimate_direction,
-    estimate_gradient,
-    optimize,
-    optimize_objective,
-    step,
-)
-from .sampling import (
-    CovarianceFactor,
-    PerturbationSampler,
-    SEKernel,
-    factorize,
-    kernel_matrix,
-)
+from .environment import ScoreConfig, batch_scores, load_preset, narrow_passage_v1, penetration_step
+from .errors import ConfigError, DegeneratePathError
+from .nfg import NfgConfig, estimate_direction, optimize, optimize_objective
+from .sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
 from .trajectory import (
     TimeGrid,
     Trajectory,
     WaypointPath,
     arc_length_times,
-    average_abs_jerk,
-    load_waypoints,
-    path_length,
     read_trajectory_csv,
     resample,
-    unwrap_angles,
     write_trajectory_csv,
 )
 
@@ -82,68 +34,34 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "BenchConfig",
-    "BoxEnvironment",
-    "BoxObstacle",
-    "ChompConfig",
     "ConfigError",
-    "CovarianceFactor",
-    "DegenerateBatchError",
     "DegeneratePathError",
-    "ExternalEvaluation",
-    "IterationTrace",
-    "MethodSpec",
-    "MppiConfig",
     "NfgConfig",
     "PerturbationSampler",
-    "RunRecord",
     "SEKernel",
     "ScoreConfig",
-    "StompConfig",
     "TimeGrid",
     "Trajectory",
     "WaypointPath",
     "aggregate",
     "arc_length_times",
-    "average_abs_jerk",
     "batch_scores",
-    "batch_weights",
-    "chomp_gradient",
-    "chomp_optimize",
-    "derive_seed",
     "estimate_direction",
-    "estimate_gradient",
     "evaluate_external",
-    "exp_transform",
     "factorize",
     "format_summary",
-    "is_collision_free",
     "kernel_matrix",
     "load_config",
     "load_preset",
-    "load_waypoints",
-    "mppi_optimize",
     "narrow_passage_v1",
     "optimize",
     "optimize_objective",
     "parse_config",
-    "path_length",
-    "penetration_profile",
     "penetration_step",
     "read_records_csv",
     "read_trajectory_csv",
     "resample",
     "run_benchmark",
-    "run_single",
-    "softmin_weights",
-    "step",
-    "stomp_iterate",
-    "stomp_optimize",
-    "stomp_weights",
-    "trajectory_score",
-    "unwrap_angles",
-    "wiener_noise",
-    "write_records_csv",
     "write_summary_csv",
     "write_trajectory_csv",
 ]

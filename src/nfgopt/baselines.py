@@ -1,9 +1,10 @@
 """Comparison optimizers: stochastic reweighting, analytic gradient descent,
 and rollout reweighting with Wiener noise.
 
-All three share the trajectory representation, environment scoring, start
-pinning, and per-iteration substream discipline of the main optimizer, so
-performance differences come from the update rules alone. The stochastic
+All three run the main optimizer's loop (:func:`nfgopt.nfg._iterate`) and
+share its trajectory representation, environment scoring, start pinning,
+feasibility rule and per-iteration substream discipline, so performance
+differences come from the update rules alone. The stochastic
 baseline draws its perturbations from the same covariance factor as the
 natural-gradient optimizer; the rollout baseline uses unsmoothed
 Wiener-process noise by design.
@@ -17,7 +18,6 @@ deterministic gradient method.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +25,28 @@ import numpy as np
 from . import _kernels
 from .environment import BoxEnvironment, ScoreConfig, batch_scores, trajectory_score
 from .errors import ConfigError
-from .nfg import IterationTrace
+from .nfg import IterationTrace, _iterate, _Step, _values_1d
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
 
 _DELTA = 1e-12
+
+
+def _collision_free(env: BoxEnvironment, times: np.ndarray):
+    """Feasibility rule of the baselines: no grid point penetrates a box."""
+    boxes = env.as_array()
+
+    def feasible(values: np.ndarray) -> bool:
+        profile = _kernels.penetration_profile_batch(values[None, :], times, boxes)[0]
+        return bool((profile == 0.0).all())
+
+    return feasible
+
+
+def _reweighted(raw: np.ndarray, eps: np.ndarray, best_score: float) -> _Step:
+    """Step along the perturbations averaged with normalized ``raw`` weights."""
+    update = (raw / raw.sum()) @ eps
+    return _Step(update, best_score, float(raw.mean()), float(np.linalg.norm(update)))
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +61,19 @@ class StompConfig:
     The method minimizes the cost J(y) = 1 - f(y) by averaging the smooth
     perturbations with weights exp(-h (J_s - J_min) / (J_max - J_min + delta)).
     ``temperature`` is h; the perturbation covariance comes from the sampler
-    passed at run time (shared with the natural-gradient optimizer).
+    passed at run time (shared with the natural-gradient optimizer), and
+    ``sigma`` is the scale of the sampler the benchmark builds.
     """
 
+    sigma: float = 1.0
     batch: int = 100
     iterations: int = 100
     temperature: float = 10.0
     early_stop: bool = False
 
     def __post_init__(self) -> None:
+        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
+            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
         if self.batch < 2:
             raise ConfigError(f"reweighting needs a batch of at least 2, got {self.batch}")
         if self.iterations < 1:
@@ -61,29 +82,16 @@ class StompConfig:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
 
-def stomp_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized exponential weights over per-sample costs (lower is better)."""
+def _stomp_raw(costs: np.ndarray, temperature: float) -> np.ndarray:
     costs = np.asarray(costs, dtype=np.float64)
     spread = costs.max() - costs.min()
-    raw = np.exp(-temperature * (costs - costs.min()) / (spread + _DELTA))
+    return np.exp(-temperature * (costs - costs.min()) / (spread + _DELTA))
+
+
+def stomp_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
+    """Normalized exponential weights over per-sample costs (lower is better)."""
+    raw = _stomp_raw(costs, temperature)
     return raw / raw.sum()
-
-
-def stomp_iterate(
-    y: Trajectory,
-    env: BoxEnvironment,
-    score_cfg: ScoreConfig,
-    cfg: StompConfig,
-    sampler: PerturbationSampler,
-) -> Trajectory:
-    """One reweighting update: y + sum_s w_s eps_s with the start pinned."""
-    values = y.values[:, 0]
-    eps = sampler.sample(cfg.batch)
-    scores = batch_scores(env, values[None, :] + eps, y.times(), y.grid.dt, score_cfg)
-    weights = stomp_weights(1.0 - scores, cfg.temperature)
-    out = values + weights @ eps
-    out[0] = values[0]
-    return Trajectory(y.grid, out)
 
 
 def stomp_optimize(
@@ -93,34 +101,17 @@ def stomp_optimize(
     cfg: StompConfig,
     sampler: PerturbationSampler,
 ) -> tuple[Trajectory, list[IterationTrace]]:
-    if y0.dims != 1:
-        raise ConfigError(f"box environments need 1-D trajectories, got dims={y0.dims}")
+    """Reweighting updates y + sum_s w_s eps_s with the start pinned."""
+    values0 = _values_1d(y0)
     times = y0.times()
     dt = y0.grid.dt
-    values = y0.values[:, 0].copy()
-    start = values[0]
-    traces: list[IterationTrace] = []
-    for k in range(cfg.iterations):
-        t0 = time.perf_counter()
-        profile = _kernels.penetration_profile_batch(values[None, :], times, env.as_array())[0]
-        feasible = bool((profile == 0.0).all())
-        if cfg.early_stop and feasible:
-            break
+
+    def reweight(values: np.ndarray, k: int) -> _Step:
         eps = sampler.with_stream(k).sample(cfg.batch)
         scores = batch_scores(env, values[None, :] + eps, times, dt, score_cfg)
-        costs = 1.0 - scores
-        spread = costs.max() - costs.min()
-        raw = np.exp(-cfg.temperature * (costs - costs.min()) / (spread + _DELTA))
-        weights = raw / raw.sum()
-        update = weights @ eps
-        values = values + update
-        values[0] = start
-        traces.append(
-            IterationTrace(
-                k, float(scores.max()), float(raw.mean()), float(np.linalg.norm(update)),
-                feasible, time.perf_counter() - t0,
-            )
-        )
+        return _reweighted(_stomp_raw(1.0 - scores, cfg.temperature), eps, float(scores.max()))
+
+    values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), reweight)
     return Trajectory(y0.grid, values), traces
 
 
@@ -131,9 +122,11 @@ def stomp_optimize(
 
 @dataclass(frozen=True)
 class ChompConfig:
+    """Settings for the gradient baseline; the smoothness weight
+    ``lambda_jerk`` comes from the score config it is run with."""
+
     iterations: int = 100
     step: float = 0.05
-    lambda_jerk: float = 1e-4
     early_stop: bool = False
 
     def __post_init__(self) -> None:
@@ -141,8 +134,6 @@ class ChompConfig:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         if not (self.step > 0.0 and np.isfinite(self.step)):
             raise ConfigError(f"step must be positive, got {self.step}")
-        if not (self.lambda_jerk >= 0.0 and np.isfinite(self.lambda_jerk)):
-            raise ConfigError(f"lambda_jerk must be non-negative, got {self.lambda_jerk}")
 
 
 def _deepest_region(profile: np.ndarray) -> tuple[int, np.ndarray]:
@@ -183,7 +174,7 @@ def _outward_sign(env: BoxEnvironment, t: float, y: float, rng: np.random.Genera
 def chomp_gradient(
     y: Trajectory,
     env: BoxEnvironment,
-    cfg: ChompConfig,
+    score_cfg: ScoreConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Ascent direction on the trajectory score.
@@ -195,9 +186,7 @@ def chomp_gradient(
     the adjoint of the third-difference stencil. The only randomness is the
     tie-break at an exact midpoint.
     """
-    if y.dims != 1:
-        raise ConfigError(f"box environments need 1-D trajectories, got dims={y.dims}")
-    values = y.values[:, 0]
+    values = _values_1d(y)
     times = y.times()
     profile = _kernels.penetration_profile_batch(values[None, :], times, env.as_array())[0]
     m = values.shape[0]
@@ -218,37 +207,30 @@ def chomp_gradient(
     adjoint[2 : windows + 2] -= 3.0 * sign_d3
     adjoint[3 : windows + 3] += sign_d3
     grad_mean_jerk = adjoint / (windows * dt3)
-    return np.exp(-cfg.lambda_jerk * mean_jerk) * (-cfg.lambda_jerk) * grad_mean_jerk
+    lambda_jerk = score_cfg.lambda_jerk
+    return np.exp(-lambda_jerk * mean_jerk) * (-lambda_jerk) * grad_mean_jerk
 
 
 def chomp_optimize(
     y0: Trajectory,
     env: BoxEnvironment,
+    score_cfg: ScoreConfig,
     cfg: ChompConfig,
     rng: np.random.Generator,
 ) -> tuple[Trajectory, list[IterationTrace]]:
-    if y0.dims != 1:
-        raise ConfigError(f"box environments need 1-D trajectories, got dims={y0.dims}")
-    score_cfg = ScoreConfig(lambda_jerk=cfg.lambda_jerk)
-    values = y0.values[:, 0].copy()
-    start = values[0]
-    traces: list[IterationTrace] = []
-    for k in range(cfg.iterations):
-        t0 = time.perf_counter()
+    """Fixed-size steps along :func:`chomp_gradient`, the deterministic
+    update rule; ``rng`` only breaks midpoint ties."""
+    values0 = _values_1d(y0)
+
+    def descend(values: np.ndarray, k: int) -> _Step:
         current = Trajectory(y0.grid, values)
         score = trajectory_score(env, current, score_cfg)
-        feasible = score > 0.0
-        if cfg.early_stop and feasible:
-            break
-        direction = chomp_gradient(current, env, cfg, rng)
-        values = values + cfg.step * direction
-        values[0] = start
-        traces.append(
-            IterationTrace(
-                k, score, 0.0, float(np.linalg.norm(direction)), feasible,
-                time.perf_counter() - t0,
-            )
-        )
+        direction = chomp_gradient(current, env, score_cfg, rng)
+        return _Step(cfg.step * direction, score, 0.0, float(np.linalg.norm(direction)))
+
+    values, traces = _iterate(
+        values0, cfg.iterations, cfg.early_stop, _collision_free(env, y0.times()), descend
+    )
     return Trajectory(y0.grid, values), traces
 
 
@@ -297,11 +279,15 @@ class MppiConfig:
         return 0.1 * np.sqrt(dt)
 
 
+def _softmin_raw(costs: np.ndarray, temperature: float) -> np.ndarray:
+    costs = np.asarray(costs, dtype=np.float64)
+    return np.exp(-(costs - costs.min()) / temperature)
+
+
 def softmin_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
     """Normalized exp(-(J - J_min) / temperature); the lowest cost always
     receives the largest weight."""
-    costs = np.asarray(costs, dtype=np.float64)
-    raw = np.exp(-(costs - costs.min()) / temperature)
+    raw = _softmin_raw(costs, temperature)
     return raw / raw.sum()
 
 
@@ -330,36 +316,20 @@ def mppi_optimize(
     perturbation. The trace's ``best_score`` column holds the negated
     minimum rollout cost.
     """
-    if y0.dims != 1:
-        raise ConfigError(f"box environments need 1-D trajectories, got dims={y0.dims}")
+    values0 = _values_1d(y0)
     times = y0.times()
     boxes = env.as_array()
     scale = cfg.resolved_noise_scale(y0.grid.dt)
-    values = y0.values[:, 0].copy()
-    start = values[0]
-    m = values.shape[0]
-    traces: list[IterationTrace] = []
-    for k in range(cfg.iterations):
-        t0 = time.perf_counter()
-        profile = _kernels.penetration_profile_batch(values[None, :], times, boxes)[0]
-        feasible = bool((profile == 0.0).all())
-        if cfg.early_stop and feasible:
-            break
+    m = values0.shape[0]
+
+    def rollout(values: np.ndarray, k: int) -> _Step:
         eps = wiener_noise(sampler.with_stream(k), cfg.rollouts, m, scale)
         candidates = values[None, :] + eps
         pen = _kernels.penetration_profile_batch(candidates, times, boxes)
         costs = cfg.weight_obs * (-pen).sum(axis=1) + cfg.weight_goal * (
             (candidates - cfg.goal) ** 2
         ).sum(axis=1)
-        raw = np.exp(-(costs - costs.min()) / cfg.temperature)
-        weights = raw / raw.sum()
-        update = weights @ eps
-        values = values + update
-        values[0] = start
-        traces.append(
-            IterationTrace(
-                k, float(-costs.min()), float(raw.mean()), float(np.linalg.norm(update)),
-                feasible, time.perf_counter() - t0,
-            )
-        )
+        return _reweighted(_softmin_raw(costs, cfg.temperature), eps, float(-costs.min()))
+
+    values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), rollout)
     return Trajectory(y0.grid, values), traces

@@ -17,12 +17,16 @@ Outputs under the configured directory:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -58,8 +62,6 @@ from .trajectory import (
     write_trajectory_csv,
 )
 
-METHOD_NAMES = ("nfg", "stomp", "chomp", "mppi")
-
 RECORD_FIELDS = ("method", "seed", "success", "runtime_s", "path_length", "avg_jerk", "iterations_used")
 
 SUMMARY_FIELDS = (
@@ -80,8 +82,8 @@ class MethodSpec:
     params: dict
 
     def __post_init__(self) -> None:
-        if self.name not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {self.name!r}; known methods: {', '.join(METHOD_NAMES)}")
+        if self.name not in METHODS:
+            raise ConfigError(f"unknown method {self.name!r}; known methods: {', '.join(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,45 @@ def _require(mapping: dict, allowed: dict, where: str) -> dict:
     return merged
 
 
+def _typed(value, hint, where: str):
+    """``value`` checked against the type ``hint``, never coerced except
+    that an int is accepted, as a float, where a float is expected. JSON
+    lists stand for tuples."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    options = typing.get_args(hint) if union else (hint,)
+    for option in options:
+        if option is type(None) and value is None:
+            return None
+        if option is bool and isinstance(value, bool):
+            return value
+        if option is str and isinstance(value, str):
+            return value
+        if option in (int, float) and isinstance(value, int) and not isinstance(value, bool):
+            return option(value)
+        if option is float and isinstance(value, float):
+            return value
+        if typing.get_origin(option) is tuple and isinstance(value, (list, tuple)):
+            item = typing.get_args(option)[0]
+            return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    raise ConfigError(f"{where} must be {name}, got {value!r}")
+
+
+def _from_fields(cls, params: dict, where: str, defaults: dict | None = None):
+    """Build dataclass ``cls`` from JSON ``params``: its init fields are the
+    allowed keys, ``defaults`` and then its own defaults fill the missing
+    ones, and each value must have its field's type."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be an object, got {params!r}")
+    params = {**(defaults or {}), **params}
+    hints = typing.get_type_hints(cls)
+    allowed = sorted(f.name for f in dataclasses.fields(cls) if f.init)
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {allowed}")
+    return cls(**{key: _typed(value, hints[key], f"{where}.{key}") for key, value in params.items()})
+
+
 def parse_config(raw: dict) -> BenchConfig:
     """Build a validated BenchConfig from a parsed JSON document."""
     if not isinstance(raw, dict):
@@ -156,16 +197,12 @@ def parse_config(raw: dict) -> BenchConfig:
         "config",
     )
     env = BoxEnvironment.from_config(top["environment"])
-    grid_spec = _require(top["grid"], {"horizon_seconds": 1.0, "rate_hz": 100.0}, "grid")
-    grid = TimeGrid(float(grid_spec["horizon_seconds"]), float(grid_spec["rate_hz"]))
-    kernel_spec = _require(top["kernel"], {"variance": 0.29, "length_scale": 0.22}, "kernel")
-    kernel = SEKernel(float(kernel_spec["variance"]), float(kernel_spec["length_scale"]))
-    if top["reg"] is not None:
-        reg = float(top["reg"])
-    else:
-        reg = float(top["reg_scale"]) * kernel.variance
-    score_spec = _require(top["score"], {"lambda_jerk": 1e-4, "n_pow": 100.0}, "score")
-    score = ScoreConfig(float(score_spec["lambda_jerk"]), float(score_spec["n_pow"]))
+    grid = _from_fields(TimeGrid, top["grid"], "grid", {"horizon_seconds": 1.0, "rate_hz": 100.0})
+    kernel = _from_fields(SEKernel, top["kernel"], "kernel", {"variance": 0.29, "length_scale": 0.22})
+    reg = _typed(top["reg"], float | None, "reg")
+    if reg is None:
+        reg = _typed(top["reg_scale"], float, "reg_scale") * kernel.variance
+    score = _from_fields(ScoreConfig, top["score"], "score")
     if not isinstance(top["methods"], list) or not top["methods"]:
         raise ConfigError("config requires a non-empty 'methods' list")
     methods = []
@@ -173,14 +210,7 @@ def parse_config(raw: dict) -> BenchConfig:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ConfigError(f"methods[{i}] must be an object with a 'name' key")
         params = {k: v for k, v in spec.items() if k != "name"}
-        methods.append(MethodSpec(str(spec["name"]), params))
-    seeds = top["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("'seeds' must be a non-empty list of integers")
-    try:
-        seeds = tuple(int(s) for s in seeds)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'seeds' must be integers: {exc}") from exc
+        methods.append(MethodSpec(_typed(spec["name"], str, f"methods[{i}].name"), params))
     return BenchConfig(
         environment=env,
         grid=grid,
@@ -188,8 +218,8 @@ def parse_config(raw: dict) -> BenchConfig:
         reg=reg,
         score=score,
         methods=tuple(methods),
-        seeds=seeds,
-        output_dir=str(top["output_dir"]),
+        seeds=_typed(top["seeds"], tuple[int, ...], "seeds"),
+        output_dir=_typed(top["output_dir"], str, "output_dir"),
     )
 
 
@@ -214,97 +244,60 @@ def derive_seed(method: str, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _build_method_config(spec: MethodSpec, bench: BenchConfig):
-    """Translate a method's JSON params into its config dataclass.
+# Runners: (method config, start trajectory, bench config, covariance
+# factor, run seed) -> (final trajectory, trace). Each builds the method's
+# random source from the run seed.
 
-    Returns (method config, sampler sigma or None). The exponent power for
-    the natural-gradient weights defaults to the score config's n_pow.
-    """
-    p = spec.params
-    if spec.name == "nfg":
-        p = _require(
-            p,
-            {
-                "sigma": 1.0,
-                "n_pow": bench.score.n_pow,
-                "batch": 100,
-                "iterations": 100,
-                "step_size": 0.1,
-                "normalize_step": True,
-                "early_stop": False,
-                "weight_mode": "shifted",
-            },
-            "methods[nfg]",
-        )
-        cfg = NfgConfig(
-            sigma=float(p["sigma"]),
-            n_pow=float(p["n_pow"]),
-            batch=int(p["batch"]),
-            iterations=int(p["iterations"]),
-            step_sizes=p["step_size"] if isinstance(p["step_size"], (int, float)) else tuple(p["step_size"]),
-            normalize_step=bool(p["normalize_step"]),
-            early_stop=bool(p["early_stop"]),
-            weight_mode=str(p["weight_mode"]),
-        )
-        return cfg, cfg.sigma
-    if spec.name == "stomp":
-        p = _require(
-            p,
-            {"sigma": 1.0, "batch": 100, "iterations": 100, "temperature": 10.0, "early_stop": False},
-            "methods[stomp]",
-        )
-        cfg = StompConfig(
-            batch=int(p["batch"]),
-            iterations=int(p["iterations"]),
-            temperature=float(p["temperature"]),
-            early_stop=bool(p["early_stop"]),
-        )
-        return cfg, float(p["sigma"])
-    if spec.name == "chomp":
-        p = _require(
-            p,
-            {"iterations": 100, "step": 0.05, "early_stop": False},
-            "methods[chomp]",
-        )
-        cfg = ChompConfig(
-            iterations=int(p["iterations"]),
-            step=float(p["step"]),
-            lambda_jerk=bench.score.lambda_jerk,
-            early_stop=bool(p["early_stop"]),
-        )
-        return cfg, None
-    if spec.name == "mppi":
-        p = _require(
-            p,
-            {
-                "rollouts": 100,
-                "iterations": 100,
-                "temperature": 1.0,
-                "noise_scale": None,
-                "goal": 0.0,
-                "weight_obs": 1.0,
-                "weight_goal": 1.0,
-                "early_stop": False,
-            },
-            "methods[mppi]",
-        )
-        cfg = MppiConfig(
-            rollouts=int(p["rollouts"]),
-            iterations=int(p["iterations"]),
-            temperature=float(p["temperature"]),
-            noise_scale=None if p["noise_scale"] is None else float(p["noise_scale"]),
-            goal=float(p["goal"]),
-            weight_obs=float(p["weight_obs"]),
-            weight_goal=float(p["weight_goal"]),
-            early_stop=bool(p["early_stop"]),
-        )
-        return cfg, None
-    raise ConfigError(f"unknown method {spec.name!r}")
+
+def _run_nfg(cfg, mu0, bench, factor, run_seed):
+    sampler = PerturbationSampler(factor, cfg.sigma, run_seed)
+    return optimize(mu0, bench.environment, bench.score, sampler, cfg)
+
+
+def _run_stomp(cfg, mu0, bench, factor, run_seed):
+    sampler = PerturbationSampler(factor, cfg.sigma, run_seed)
+    return stomp_optimize(mu0, bench.environment, bench.score, cfg, sampler)
+
+
+def _run_chomp(cfg, mu0, bench, factor, run_seed):
+    rng = Generator(Philox(key=np.array([run_seed, 0], dtype=np.uint64)))
+    return chomp_optimize(mu0, bench.environment, bench.score, cfg, rng)
+
+
+def _run_mppi(cfg, mu0, bench, factor, run_seed):
+    sampler = PerturbationSampler(factor, 1.0, run_seed)
+    return mppi_optimize(mu0, bench.environment, cfg, sampler)
+
+
+@dataclass(frozen=True)
+class Method:
+    """A benchmark method: the config dataclass whose fields are its JSON
+    keys, types and defaults, its runner, and the fields that default to
+    the score config's value of the same name."""
+
+    config: type
+    run: Callable
+    score_defaults: tuple[str, ...] = ()
+
+
+METHODS = {
+    "nfg": Method(NfgConfig, _run_nfg, score_defaults=("n_pow",)),
+    "stomp": Method(StompConfig, _run_stomp),
+    "chomp": Method(ChompConfig, _run_chomp),
+    "mppi": Method(MppiConfig, _run_mppi),
+}
+
+
+def _method_config(spec: MethodSpec, bench: BenchConfig):
+    """The validated config dataclass of one configured method."""
+    method = METHODS[spec.name]
+    defaults = {name: getattr(bench.score, name) for name in method.score_defaults}
+    return _from_fields(method.config, spec.params, f"methods[{spec.name}]", defaults)
 
 
 def _warm_kernels(env: BoxEnvironment, grid: TimeGrid, score: ScoreConfig) -> None:
-    # First call may trigger JIT compilation or cache loading; keep that
-    # out of the timed optimizer loop.
+    # The first scoring call pays one-time costs; keep them out of the
+    # timed run.
     dummy = np.zeros((1, grid.steps))
     batch_scores(env, dummy, grid.times(), grid.dt, score)
 
@@ -319,32 +312,16 @@ def run_single(
     """Run one (method, seed) pair and write its artifacts.
 
     The initial trajectory is all zeros for every method and seed. Runtime
-    covers the optimizer loop only.
+    covers the method's runner: building its random source and the
+    optimizer loop.
     """
-    cfg, sigma = _build_method_config(spec, bench)
+    cfg = _method_config(spec, bench)
     mu0 = Trajectory(bench.grid, np.zeros((bench.grid.steps, 1)))
     run_seed = derive_seed(spec.name, seed)
     _warm_kernels(bench.environment, bench.grid, bench.score)
-    if spec.name == "nfg":
-        sampler = PerturbationSampler(factor, sigma, run_seed)
-        t0 = time.perf_counter()
-        traj, traces = optimize(mu0, bench.environment, bench.score, sampler, cfg)
-        runtime = time.perf_counter() - t0
-    elif spec.name == "stomp":
-        sampler = PerturbationSampler(factor, sigma, run_seed)
-        t0 = time.perf_counter()
-        traj, traces = stomp_optimize(mu0, bench.environment, bench.score, cfg, sampler)
-        runtime = time.perf_counter() - t0
-    elif spec.name == "chomp":
-        rng = Generator(Philox(key=np.array([run_seed, 0], dtype=np.uint64)))
-        t0 = time.perf_counter()
-        traj, traces = chomp_optimize(mu0, bench.environment, cfg, rng)
-        runtime = time.perf_counter() - t0
-    else:
-        sampler = PerturbationSampler(factor, 1.0, run_seed)
-        t0 = time.perf_counter()
-        traj, traces = mppi_optimize(mu0, bench.environment, cfg, sampler)
-        runtime = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    traj, traces = METHODS[spec.name].run(cfg, mu0, bench, factor, run_seed)
+    runtime = time.perf_counter() - t0
     success = bool((penetration_profile(bench.environment, traj) == 0.0).all())
     record = RunRecord(
         method=spec.name,
@@ -358,11 +335,7 @@ def run_single(
     if out_dir is not None:
         run_dir = os.path.join(out_dir, spec.name, str(seed))
         os.makedirs(run_dir, exist_ok=True)
-        write_trace_csv(
-            os.path.join(run_dir, "trace.csv"),
-            traces,
-            method=None if spec.name == "nfg" else spec.name,
-        )
+        write_trace_csv(os.path.join(run_dir, "trace.csv"), traces, spec.name)
         write_trajectory_csv(traj, os.path.join(run_dir, "final_trajectory.csv"))
     return record
 
@@ -385,7 +358,7 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "
     K = kernel_matrix(bench.grid, bench.kernel)
     factor = factorize(K, bench.reg)
     for spec in bench.methods:
-        _build_method_config(spec, bench)  # validate every method before any run
+        _method_config(spec, bench)  # validate every method before any run
     tasks = [
         (mi, si, spec, seed, bench, factor, out_dir)
         for mi, spec in enumerate(bench.methods)
@@ -528,21 +501,25 @@ def format_summary(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def write_trace_csv(path: str, traces: list[IterationTrace], method: str | None = None) -> None:
-    base = ("iter", "best_score", "mean_weight", "grad_norm", "feasible", "wall_time_s")
+TRACE_FIELDS = ("method", "iter", "best_score", "mean_weight", "grad_norm", "feasible", "wall_time_s")
+
+
+def write_trace_csv(path: str, traces: list[IterationTrace], method: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow((("method",) + base) if method is not None else base)
+        writer.writerow(TRACE_FIELDS)
         for t in traces:
-            row = [
-                t.iteration,
-                f"{t.best_score:.17g}",
-                f"{t.mean_weight:.17g}",
-                f"{t.estimator_norm:.17g}",
-                "true" if t.feasible else "false",
-                f"{t.wall_time:.17g}",
-            ]
-            writer.writerow(([method] + row) if method is not None else row)
+            writer.writerow(
+                [
+                    method,
+                    t.iteration,
+                    f"{t.best_score:.17g}",
+                    f"{t.mean_weight:.17g}",
+                    f"{t.estimator_norm:.17g}",
+                    "true" if t.feasible else "false",
+                    f"{t.wall_time:.17g}",
+                ]
+            )
 
 
 @dataclass(frozen=True)

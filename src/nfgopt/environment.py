@@ -65,10 +65,10 @@ class BoxEnvironment:
         for i, rec in enumerate(spec):
             if not isinstance(rec, dict) or set(rec) != {"t_lo", "t_hi", "y_lo", "y_hi"}:
                 raise ConfigError(f"box {i} must have exactly keys t_lo, t_hi, y_lo, y_hi, got {rec!r}")
-            try:
-                boxes.append(BoxObstacle(float(rec["t_lo"]), float(rec["t_hi"]), float(rec["y_lo"]), float(rec["y_hi"])))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"box {i}: {exc}") from exc
+            coords = [rec[key] for key in ("t_lo", "t_hi", "y_lo", "y_hi")]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coords):
+                raise ConfigError(f"box {i} coordinates must be numbers, got {rec!r}")
+            boxes.append(BoxObstacle(*(float(v) for v in coords)))
         return BoxEnvironment(tuple(boxes))
 
 

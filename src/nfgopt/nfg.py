@@ -15,13 +15,16 @@ keep doubles finite); ``shifted`` subtracts the batch maximum inside the
 exponent first, rescaling the direction by a positive per-batch constant.
 The shift prevents overflow at large n_pow and leaves the direction (and
 any normalized step) unchanged.
+
+The iteration loop here (:func:`_iterate`) is the one every optimizer in
+the package runs; the baselines supply only their update rules.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,17 +42,17 @@ WEIGHT_MODES = ("raw", "shifted")
 class NfgConfig:
     """Optimizer settings.
 
-    ``step_sizes`` is a constant or one value per iteration. With
+    ``step_size`` is a constant or one value per iteration. With
     ``normalize_step`` the update direction is scaled to unit norm before
     the step, which makes a constant step usable even though raw weights
     can span hundreds of orders of magnitude.
     """
 
-    sigma: float
+    sigma: float = 1.0
     n_pow: float = 100.0
     batch: int = 100
     iterations: int = 100
-    step_sizes: float | tuple[float, ...] = 0.1
+    step_size: float | tuple[float, ...] = 0.1
     normalize_step: bool = True
     early_stop: bool = False
     weight_mode: str = "shifted"
@@ -65,23 +68,23 @@ class NfgConfig:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
-        if isinstance(self.step_sizes, (int, float)):
-            if not (self.step_sizes > 0.0 and np.isfinite(self.step_sizes)):
-                raise ConfigError(f"step size must be positive, got {self.step_sizes}")
+        if isinstance(self.step_size, (int, float)):
+            if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
+                raise ConfigError(f"step size must be positive, got {self.step_size}")
         else:
-            sizes = tuple(float(s) for s in self.step_sizes)
+            sizes = tuple(float(s) for s in self.step_size)
             if len(sizes) != self.iterations:
                 raise ConfigError(
-                    f"step_sizes has {len(sizes)} entries for {self.iterations} iterations"
+                    f"step_size has {len(sizes)} entries for {self.iterations} iterations"
                 )
             if any(not (s > 0.0 and np.isfinite(s)) for s in sizes):
                 raise ConfigError("every step size must be positive")
-            object.__setattr__(self, "step_sizes", sizes)
+            object.__setattr__(self, "step_size", sizes)
 
     def eta(self, iteration: int) -> float:
-        if isinstance(self.step_sizes, tuple):
-            return self.step_sizes[iteration]
-        return float(self.step_sizes)
+        if isinstance(self.step_size, tuple):
+            return self.step_size[iteration]
+        return float(self.step_size)
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,16 @@ class IterationTrace:
     estimator_norm: float
     feasible: bool
     wall_time: float
+
+
+class _Step(NamedTuple):
+    """What one update rule returns: the change to the values (None for no
+    change) and the trace columns it reports."""
+
+    delta: np.ndarray | None
+    best_score: float
+    mean_weight: float
+    norm: float
 
 
 def batch_weights(scores: np.ndarray, n_pow: float, weight_mode: str) -> np.ndarray:
@@ -165,43 +178,51 @@ def estimate_direction(
     return direction, stats
 
 
-def estimate_gradient(
-    mu: Trajectory,
-    env: BoxEnvironment,
-    score_cfg: ScoreConfig,
-    sampler: PerturbationSampler,
-    cfg: NfgConfig,
-    iteration: int | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Natural-gradient direction for a 1-D trajectory in a box environment."""
-    if mu.dims != 1:
-        raise ConfigError(f"box environments need 1-D trajectories, got dims={mu.dims}")
-    times = mu.times()
-    dt = mu.grid.dt
-
-    def objective(batch_values: np.ndarray) -> np.ndarray:
-        return batch_scores(env, batch_values, times, dt, score_cfg)
-
-    return estimate_direction(mu.values[:, 0], objective, sampler, cfg, iteration=iteration)
+def _values_1d(traj: Trajectory) -> np.ndarray:
+    """The single value column of a 1-D trajectory; box environments
+    optimize nothing else."""
+    if traj.dims != 1:
+        raise ConfigError(f"box environments need 1-D trajectories, got dims={traj.dims}")
+    return traj.values[:, 0]
 
 
-def step(mu: Trajectory, direction: np.ndarray, eta: float, goal: float | None = None) -> Trajectory:
-    """Ascent step mu + eta * direction with the start point pinned.
+def _iterate(
+    values0: np.ndarray,
+    iterations: int,
+    early_stop: bool,
+    feasibility: Callable[[np.ndarray], bool] | None,
+    update: Callable[[np.ndarray, int], _Step],
+) -> tuple[np.ndarray, list[IterationTrace]]:
+    """The optimizer loop every method runs; only ``update`` differs.
 
-    The first grid point is reset to its pre-step value after the update;
-    the last is reset to ``goal`` when one is given. Pinning keeps boundary
-    conditions exact regardless of what the estimator proposes.
+    Iteration k checks feasibility of the current values (False without a
+    ``feasibility`` callable), stops before updating when ``early_stop`` is
+    set and the values are feasible, then applies ``update(values, k)``.
+    The step it returns is added with the start point pinned; a step of
+    None leaves the values unchanged. One trace row is written per
+    completed iteration.
     """
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.ndim == 1:
-        direction = direction[:, None]
-    if direction.shape != mu.values.shape:
-        raise ValueError(f"direction shape {direction.shape} does not match mu {mu.values.shape}")
-    out = mu.values + eta * direction
-    out[0] = mu.values[0]
-    if goal is not None:
-        out[-1] = goal
-    return Trajectory(mu.grid, out)
+    values = np.asarray(values0, dtype=np.float64).copy()
+    if values.ndim != 1:
+        raise ConfigError(f"values0 must be 1-D, got shape {values.shape}")
+    start = values[0]
+    traces: list[IterationTrace] = []
+    for k in range(iterations):
+        t0 = time.perf_counter()
+        feasible = bool(feasibility(values)) if feasibility is not None else False
+        if early_stop and feasible:
+            break
+        step = update(values, k)
+        if step.delta is not None:
+            values = values + step.delta
+            values[0] = start
+        traces.append(
+            IterationTrace(
+                k, step.best_score, step.mean_weight, step.norm, feasible,
+                time.perf_counter() - t0,
+            )
+        )
+    return values, traces
 
 
 def optimize_objective(
@@ -222,39 +243,20 @@ def optimize_objective(
     A degenerate batch (every sample at -inf) skips the update, records a
     zero-direction trace row, and continues with fresh samples.
     """
-    values = np.asarray(values0, dtype=np.float64).copy()
-    if values.ndim != 1:
-        raise ConfigError(f"values0 must be 1-D, got shape {values.shape}")
-    start = values[0]
-    traces: list[IterationTrace] = []
-    for k in range(cfg.iterations):
-        t0 = time.perf_counter()
-        feasible = bool(feasibility(values)) if feasibility is not None else False
-        if cfg.early_stop and feasible:
-            break
+
+    def ascent(values: np.ndarray, k: int) -> _Step:
         try:
             direction, stats = estimate_direction(
                 values, objective, sampler.with_stream(k), cfg, iteration=k
             )
         except DegenerateBatchError:
-            traces.append(
-                IterationTrace(k, -np.inf, 0.0, 0.0, feasible, time.perf_counter() - t0)
-            )
-            continue
+            return _Step(None, -np.inf, 0.0, 0.0)
         norm = float(np.linalg.norm(direction))
         if cfg.normalize_step:
-            update = direction / (norm + _NORM_EPS)
-        else:
-            update = direction
-        values = values + cfg.eta(k) * update
-        values[0] = start
-        traces.append(
-            IterationTrace(
-                k, stats["best_score"], stats["mean_weight"], norm, feasible,
-                time.perf_counter() - t0,
-            )
-        )
-    return values, traces
+            direction = direction / (norm + _NORM_EPS)
+        return _Step(cfg.eta(k) * direction, stats["best_score"], stats["mean_weight"], norm)
+
+    return _iterate(values0, cfg.iterations, cfg.early_stop, feasibility, ascent)
 
 
 def optimize(
@@ -270,20 +272,15 @@ def optimize(
     iteration. The trace's ``feasible`` flag reports whether the mean was
     collision-free when the iteration started.
     """
-    if mu0.dims != 1:
-        raise ConfigError(f"box environments need 1-D trajectories, got dims={mu0.dims}")
+    values0 = _values_1d(mu0)
     times = mu0.times()
     dt = mu0.grid.dt
-    boxes_env = env
 
     def objective(batch_values: np.ndarray) -> np.ndarray:
-        return batch_scores(boxes_env, batch_values, times, dt, score_cfg)
+        return batch_scores(env, batch_values, times, dt, score_cfg)
 
     def feasibility(values: np.ndarray) -> bool:
-        traj = Trajectory(mu0.grid, values)
-        return bool((penetration_profile(boxes_env, traj) == 0.0).all())
+        return bool((penetration_profile(env, Trajectory(mu0.grid, values)) == 0.0).all())
 
-    final_values, traces = optimize_objective(
-        mu0.values[:, 0], objective, sampler, cfg, feasibility=feasibility
-    )
+    final_values, traces = optimize_objective(values0, objective, sampler, cfg, feasibility=feasibility)
     return Trajectory(mu0.grid, final_values), traces

@@ -137,18 +137,3 @@ class PerturbationSampler:
         """Draw ``count`` smooth perturbations, shape (count, m)."""
         z = self.normals(count, self.factor.size)
         return self.sigma * z @ self.factor.factor.T
-
-    def sample_multi(self, count: int, dims: int) -> np.ndarray:
-        """Block-diagonal multi-dimension draw, shape (count, m, dims).
-
-        Each dimension gets an independent z smoothed by the same temporal
-        factor; ``sample_multi(count, 1)[:, :, 0]`` equals ``sample(count)``.
-        """
-        if dims < 1:
-            raise ConfigError(f"dims must be at least 1, got {dims}")
-        m = self.factor.size
-        z = self.normals(count, m * dims).reshape(count, m, dims)
-        out = np.empty((count, m, dims))
-        for d in range(dims):
-            out[:, :, d] = z[:, :, d] @ self.factor.factor.T
-        return self.sigma * out

@@ -294,7 +294,7 @@ class TestCriterion9IterationsScaleWithGrid:
             grid = TimeGrid(horizon, 100.0)
             factor = factorize(kernel_matrix(grid, kernel), BENCH_REG)
             cfg = NfgConfig(
-                sigma=1.0, n_pow=5.0, batch=50, iterations=500, step_sizes=0.1,
+                sigma=1.0, n_pow=5.0, batch=50, iterations=500, step_size=0.1,
                 early_stop=True,
             )
             counts = []

@@ -1,31 +1,29 @@
 import numpy as np
 import pytest
 
-from nfgopt import (
-    BoxEnvironment,
-    BoxObstacle,
+from nfgopt.baselines import (
     ChompConfig,
-    ConfigError,
     MppiConfig,
-    PerturbationSampler,
-    SEKernel,
-    ScoreConfig,
     StompConfig,
-    TimeGrid,
-    Trajectory,
     chomp_gradient,
     chomp_optimize,
-    factorize,
-    kernel_matrix,
     mppi_optimize,
-    narrow_passage_v1,
-    penetration_profile,
     softmin_weights,
-    stomp_iterate,
     stomp_optimize,
     stomp_weights,
     wiener_noise,
 )
+from nfgopt.environment import (
+    BoxEnvironment,
+    BoxObstacle,
+    ScoreConfig,
+    batch_scores,
+    narrow_passage_v1,
+    penetration_profile,
+)
+from nfgopt.errors import ConfigError
+from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
+from nfgopt.trajectory import TimeGrid, Trajectory
 
 GRID = TimeGrid(1.0, 100.0)
 ENV = narrow_passage_v1()
@@ -43,7 +41,8 @@ def traj_1d(grid, values):
 
 class TestStompWeights:
     @pytest.mark.parametrize(
-        "kwargs", [{"batch": 1}, {"iterations": 0}, {"temperature": 0.0}, {"temperature": -1.0}]
+        "kwargs",
+        [{"batch": 1}, {"iterations": 0}, {"temperature": 0.0}, {"temperature": -1.0}, {"sigma": -1.0}],
     )
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigError):
@@ -82,8 +81,12 @@ class TestStompOptimize:
         cfg = StompConfig(batch=20, iterations=1)
         sampler = bench_sampler(5)
         out, traces = stomp_optimize(y0, ENV, SCORE, cfg, sampler)
-        ref = stomp_iterate(y0, ENV, SCORE, cfg, sampler.with_stream(0))
-        np.testing.assert_array_equal(out.values, ref.values)
+        # one reweighting update y + sum_s w_s eps_s with the start pinned
+        eps = sampler.with_stream(0).sample(20)
+        scores = batch_scores(ENV, eps, y0.times(), GRID.dt, SCORE)
+        expected = y0.values[:, 0] + stomp_weights(1.0 - scores, cfg.temperature) @ eps
+        expected[0] = y0.values[0, 0]
+        np.testing.assert_array_equal(out.values[:, 0], expected)
         assert len(traces) == 1
 
     def test_start_pinned(self):
@@ -108,7 +111,7 @@ class TestStompOptimize:
 
 class TestChompGradient:
     @pytest.mark.parametrize(
-        "kwargs", [{"iterations": 0}, {"step": 0.0}, {"step": -0.1}, {"lambda_jerk": -1.0}]
+        "kwargs", [{"iterations": 0}, {"step": 0.0}, {"step": -0.1}, {"step": float("inf")}]
     )
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigError):
@@ -116,14 +119,14 @@ class TestChompGradient:
 
     def test_constant_free_trajectory_zero_gradient(self):
         y = traj_1d(GRID, np.full(100, 3.0))
-        grad = chomp_gradient(y, BoxEnvironment(()), ChompConfig(), np.random.default_rng(0))
+        grad = chomp_gradient(y, BoxEnvironment(()), SCORE, np.random.default_rng(0))
         np.testing.assert_array_equal(grad, np.zeros(100))
 
     def test_colliding_unit_push_on_deepest_region(self):
         # y = 1 penetrates the first box deepest (depth 2 over t in [0.2, 0.25]);
         # the lower face is nearer so the push is -1 on exactly that run
         y = traj_1d(GRID, np.full(100, 1.0))
-        grad = chomp_gradient(y, ENV, ChompConfig(), np.random.default_rng(0))
+        grad = chomp_gradient(y, ENV, SCORE, np.random.default_rng(0))
         expected = np.zeros(100)
         expected[20:26] = -1.0
         np.testing.assert_array_equal(grad, expected)
@@ -133,7 +136,7 @@ class TestChompGradient:
             (BoxObstacle(0.1, 0.2, -0.5, 0.5), BoxObstacle(0.6, 0.7, -2.0, 2.0))
         )
         y = traj_1d(GRID, np.zeros(100))
-        grad = chomp_gradient(y, env, ChompConfig(), np.random.default_rng(0))
+        grad = chomp_gradient(y, env, SCORE, np.random.default_rng(0))
         assert np.all(grad[:60] == 0.0)
         # 70 * 0.01 rounds just past 0.7, so the run ends at index 69
         assert np.all(np.abs(grad[60:70]) == 1.0)
@@ -143,22 +146,22 @@ class TestChompGradient:
         env = BoxEnvironment((BoxObstacle(0.0, 1.0, -1.0, 1.0),))
         y = traj_1d(GRID, np.zeros(100))
         rng = np.random.default_rng(6)
-        signs = {chomp_gradient(y, env, ChompConfig(), rng)[50] for _ in range(50)}
+        signs = {chomp_gradient(y, env, SCORE, rng)[50] for _ in range(50)}
         assert signs == {-1.0, 1.0}
 
     def test_free_gradient_matches_finite_difference(self):
         grid = TimeGrid(0.08, 100.0)
         times = grid.times()
         values = times**3
-        cfg = ChompConfig(lambda_jerk=1e-4)
+        score_cfg = ScoreConfig(lambda_jerk=1e-4)
         env = BoxEnvironment(())
         rng = np.random.default_rng(0)
-        grad = chomp_gradient(traj_1d(grid, values), env, cfg, rng)
+        grad = chomp_gradient(traj_1d(grid, values), env, score_cfg, rng)
 
         def smoothness(v):
             d3 = v[3:] - 3.0 * v[2:-1] + 3.0 * v[1:-2] - v[:-3]
             mean_jerk = np.abs(d3).sum() / ((v.shape[0] - 3) * grid.dt**3)
-            return np.exp(-cfg.lambda_jerk * mean_jerk)
+            return np.exp(-score_cfg.lambda_jerk * mean_jerk)
 
         h = 1e-7
         fd = np.zeros_like(values)
@@ -175,7 +178,7 @@ class TestChompOptimize:
     def test_single_step_semantics(self):
         y0 = traj_1d(GRID, np.full(100, 1.0))
         cfg = ChompConfig(iterations=1, step=0.05)
-        out, traces = chomp_optimize(y0, ENV, cfg, np.random.default_rng(0))
+        out, traces = chomp_optimize(y0, ENV, SCORE, cfg, np.random.default_rng(0))
         expected = np.full(100, 1.0)
         expected[20:26] -= 0.05
         np.testing.assert_array_equal(out.values[:, 0], expected)
@@ -186,20 +189,34 @@ class TestChompOptimize:
     def test_deterministic(self):
         y0 = traj_1d(GRID, np.zeros(100))
         cfg = ChompConfig(iterations=30, step=0.02)
-        out1, _ = chomp_optimize(y0, ENV, cfg, np.random.default_rng(4))
-        out2, _ = chomp_optimize(y0, ENV, cfg, np.random.default_rng(4))
+        out1, _ = chomp_optimize(y0, ENV, SCORE, cfg, np.random.default_rng(4))
+        out2, _ = chomp_optimize(y0, ENV, SCORE, cfg, np.random.default_rng(4))
         np.testing.assert_array_equal(out1.values, out2.values)
 
     def test_start_pinned(self):
         y0 = traj_1d(GRID, np.full(100, 1.0))
         cfg = ChompConfig(iterations=20, step=0.05)
-        out, _ = chomp_optimize(y0, ENV, cfg, np.random.default_rng(0))
+        out, _ = chomp_optimize(y0, ENV, SCORE, cfg, np.random.default_rng(0))
         assert out.values[0, 0] == 1.0
 
     def test_early_stop_when_feasible(self):
         y0 = traj_1d(GRID, np.full(100, 3.0))
         cfg = ChompConfig(iterations=10, early_stop=True)
-        out, traces = chomp_optimize(y0, BoxEnvironment(()), cfg, np.random.default_rng(0))
+        out, traces = chomp_optimize(y0, BoxEnvironment(()), SCORE, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.values, y0.values)
+        assert traces == []
+
+    def test_feasible_when_smoothness_bonus_underflows(self):
+        # a collision-free zigzag whose jerk drives exp(-lambda_jerk * jerk)
+        # to exactly 0: feasibility means no grid point penetrates, not a
+        # positive score
+        y0 = traj_1d(GRID, np.tile([0.0, 0.01], 50))
+        free, rough = BoxEnvironment(()), ScoreConfig(lambda_jerk=1.0)
+        _, traces = chomp_optimize(y0, free, rough, ChompConfig(iterations=3), np.random.default_rng(0))
+        assert [(t.best_score, t.feasible) for t in traces] == [(0.0, True)] * 3
+        out, traces = chomp_optimize(
+            y0, free, rough, ChompConfig(iterations=3, early_stop=True), np.random.default_rng(0)
+        )
         np.testing.assert_array_equal(out.values, y0.values)
         assert traces == []
 

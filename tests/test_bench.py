@@ -5,30 +5,23 @@ import os
 import numpy as np
 import pytest
 
-from nfgopt import (
-    ConfigError,
-    DegeneratePathError,
-    MethodSpec,
+from nfgopt.bench import (
     RunRecord,
-    ScoreConfig,
-    TimeGrid,
-    Trajectory,
     aggregate,
     derive_seed,
     evaluate_external,
-    factorize,
     format_summary,
-    kernel_matrix,
-    load_preset,
     parse_config,
-    penetration_profile,
     read_records_csv,
-    read_trajectory_csv,
     run_benchmark,
     run_single,
     write_records_csv,
 )
 from nfgopt.cli import main
+from nfgopt.environment import ScoreConfig, load_preset, penetration_profile
+from nfgopt.errors import ConfigError, DegeneratePathError
+from nfgopt.sampling import factorize, kernel_matrix
+from nfgopt.trajectory import TimeGrid, Trajectory, read_trajectory_csv
 
 MINI_RAW = {
     "environment": "narrow-passage-v1",
@@ -116,6 +109,47 @@ class TestParseConfig:
         assert not (out / "records.csv").exists()
 
 
+class TestStrictTypes:
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("methods", 0, "early_stop"), "false"),
+            (("methods", 0, "iterations"), 2.9),
+            (("seeds", 1), 1.7),
+            (("methods", 2, "goal"), "0.5"),
+            (("methods", 0, "batch"), True),
+            (("methods", 1, "iterations"), 3.0),
+            (("grid", "rate_hz"), "100"),
+            (("kernel", "variance"), None),
+            (("methods", 0, "step_size"), [0.4, "0.4", 0.4, 0.4, 0.4]),
+            (("environment",), [{"t_lo": 0.1, "t_hi": 0.2, "y_lo": "-1", "y_hi": 1.0}]),
+        ],
+    )
+    def test_wrong_type_rejected_with_exit_code_2(self, tmp_path, capsys, path, value):
+        raw = copy.deepcopy(MINI_RAW)
+        raw["methods"].append({"name": "mppi", "rollouts": 4, "iterations": 2})
+        *parents, key = path
+        target = raw
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    def test_int_accepted_for_float_field(self):
+        raw = copy.deepcopy(MINI_RAW)
+        raw["methods"][0].update(sigma=1, step_size=[1, 0.5, 0.5, 0.5, 0.5], n_pow=50)
+        raw["grid"]["rate_hz"] = 100
+        cfg = parse_config(raw)
+        assert cfg.grid == TimeGrid(0.3, 100.0)
+        records = run_benchmark(cfg, out_dir=None)
+        assert [r.method for r in records] == ["nfg", "nfg", "chomp", "chomp"]
+
+
 class TestDeriveSeed:
     def test_snapshot(self):
         assert derive_seed("nfg", 0) == 10199153854430036927
@@ -153,7 +187,7 @@ class TestRunSingle:
         assert (run_dir / "final_trajectory.csv").exists()
         with open(run_dir / "trace.csv") as fh:
             header = fh.readline().strip()
-        assert header == "iter,best_score,mean_weight,grad_norm,feasible,wall_time_s"
+        assert header == "method,iter,best_score,mean_weight,grad_norm,feasible,wall_time_s"
 
     def test_baseline_trace_has_method_column(self, tmp_path):
         cfg = mini_config()

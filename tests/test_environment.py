@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 import nfgopt._kernels as _kernels
-from nfgopt import (
+from nfgopt.environment import (
     BoxEnvironment,
     BoxObstacle,
-    ConfigError,
     ScoreConfig,
-    TimeGrid,
-    Trajectory,
-    average_abs_jerk,
     batch_scores,
     exp_transform,
     is_collision_free,
@@ -19,6 +15,8 @@ from nfgopt import (
     penetration_step,
     trajectory_score,
 )
+from nfgopt.errors import ConfigError
+from nfgopt.trajectory import TimeGrid, Trajectory, average_abs_jerk
 
 GRID = TimeGrid(1.0, 100.0)
 ENV = narrow_passage_v1()
@@ -208,22 +206,6 @@ class TestExpTransform:
 
 
 class TestBackends:
-    def test_numpy_backend_matches_active(self):
-        rng = np.random.default_rng(13)
-        values = rng.normal(size=(64, 100))
-        times = GRID.times()
-        boxes = ENV.as_array()
-        active = _kernels.batch_scores(values, times, boxes, 1e-4, GRID.dt)
-        reference = _kernels._batch_scores_numpy(values, times, boxes, 1e-4, GRID.dt)
-        np.testing.assert_allclose(active, reference, rtol=1e-12, atol=1e-15)
-
-    def test_numpy_profile_matches_active(self):
-        rng = np.random.default_rng(14)
-        values = rng.normal(size=(32, 100))
-        active = _kernels.penetration_profile_batch(values, GRID.times(), ENV.as_array())
-        reference = _kernels._penetration_profile_numpy(values, GRID.times(), ENV.as_array())
-        np.testing.assert_array_equal(active, reference)
-
     def test_empty_environment_batch(self):
         values = np.zeros((4, 100))
         out = _kernels.batch_scores(values, GRID.times(), np.zeros((0, 4)), 1e-4, GRID.dt)

@@ -1,25 +1,11 @@
 import numpy as np
 import pytest
 
-from nfgopt import (
-    ConfigError,
-    DegenerateBatchError,
-    NfgConfig,
-    PerturbationSampler,
-    SEKernel,
-    TimeGrid,
-    Trajectory,
-    batch_weights,
-    estimate_direction,
-    factorize,
-    is_collision_free,
-    kernel_matrix,
-    narrow_passage_v1,
-    optimize,
-    optimize_objective,
-    step,
-)
-from nfgopt import ScoreConfig
+from nfgopt.environment import ScoreConfig, is_collision_free, narrow_passage_v1
+from nfgopt.errors import ConfigError, DegenerateBatchError
+from nfgopt.nfg import NfgConfig, batch_weights, estimate_direction, optimize, optimize_objective
+from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
+from nfgopt.trajectory import TimeGrid, Trajectory
 
 GRID5 = TimeGrid(0.05, 100.0)
 
@@ -39,9 +25,9 @@ class TestNfgConfig:
             {"sigma": 1.0, "batch": 0},
             {"sigma": 1.0, "iterations": 0},
             {"sigma": 1.0, "weight_mode": "softmax"},
-            {"sigma": 1.0, "step_sizes": -0.1},
-            {"sigma": 1.0, "iterations": 3, "step_sizes": (0.1, 0.2)},
-            {"sigma": 1.0, "iterations": 2, "step_sizes": (0.1, -0.2)},
+            {"sigma": 1.0, "step_size": -0.1},
+            {"sigma": 1.0, "iterations": 3, "step_size": (0.1, 0.2)},
+            {"sigma": 1.0, "iterations": 2, "step_size": (0.1, -0.2)},
         ],
     )
     def test_invalid(self, kwargs):
@@ -49,12 +35,12 @@ class TestNfgConfig:
             NfgConfig(**kwargs)
 
     def test_scalar_eta(self):
-        cfg = NfgConfig(sigma=1.0, step_sizes=0.25)
+        cfg = NfgConfig(sigma=1.0, step_size=0.25)
         assert cfg.eta(0) == 0.25
         assert cfg.eta(99) == 0.25
 
     def test_schedule_eta(self):
-        cfg = NfgConfig(sigma=1.0, iterations=3, step_sizes=(0.3, 0.2, 0.1))
+        cfg = NfgConfig(sigma=1.0, iterations=3, step_size=(0.3, 0.2, 0.1))
         assert [cfg.eta(k) for k in range(3)] == [0.3, 0.2, 0.1]
 
 
@@ -182,38 +168,6 @@ class TestEstimateDirection:
         assert err < 0.05
 
 
-class TestStep:
-    def grid_traj(self, values):
-        return Trajectory(TimeGrid(0.05, 100.0), np.asarray(values, dtype=float))
-
-    def test_zero_direction_identity(self):
-        mu = self.grid_traj([0.0, 1.0, 2.0, 3.0, 4.0])
-        out = step(mu, np.zeros(5), 0.7)
-        np.testing.assert_array_equal(out.values, mu.values)
-        assert out.grid == mu.grid
-
-    def test_zero_eta_identity(self):
-        mu = self.grid_traj([0.0, 1.0, 2.0, 3.0, 4.0])
-        out = step(mu, np.ones(5), 0.0)
-        np.testing.assert_array_equal(out.values, mu.values)
-
-    def test_start_pinned(self):
-        mu = self.grid_traj(np.zeros(5))
-        out = step(mu, np.ones(5), 0.5)
-        np.testing.assert_array_equal(out.values[:, 0], [0.0, 0.5, 0.5, 0.5, 0.5])
-
-    def test_goal_pinned(self):
-        mu = self.grid_traj(np.zeros(5))
-        out = step(mu, np.ones(5), 0.5, goal=2.0)
-        assert out.values[-1, 0] == 2.0
-        assert out.values[0, 0] == 0.0
-
-    def test_shape_mismatch(self):
-        mu = self.grid_traj(np.zeros(5))
-        with pytest.raises(ValueError, match="direction shape"):
-            step(mu, np.ones(4), 0.5)
-
-
 class TestOptimizeObjective:
     def linear_setup(self, batch=16, iterations=5, **kwargs):
         factor = factor_for(GRID5)
@@ -275,7 +229,7 @@ class TestOptimizeBenchmark:
         K = kernel_matrix(grid, SEKernel(0.29, 0.22))
         factor = factorize(K, 1e-6 * 0.29)
         score_cfg = ScoreConfig(lambda_jerk=1e-4, n_pow=100.0)
-        cfg = NfgConfig(sigma=1.0, n_pow=100.0, batch=100, iterations=100, step_sizes=0.4)
+        cfg = NfgConfig(sigma=1.0, n_pow=100.0, batch=100, iterations=100, step_size=0.4)
         successes = 0
         for seed in range(5):
             sampler = PerturbationSampler(factor, 1.0, seed=seed)

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from nfgopt import (
-    ConfigError,
-    PerturbationSampler,
-    SEKernel,
-    TimeGrid,
-    factorize,
-    kernel_matrix,
-)
+from nfgopt.errors import ConfigError
+from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
+from nfgopt.trajectory import TimeGrid
 
 BENCH_KERNEL = SEKernel(variance=0.29, length_scale=0.22)
 
@@ -124,15 +119,6 @@ class TestPerturbationSampler:
         sampler = PerturbationSampler(fac, 0.5, seed=3, stream_id=1)
         z = sampler.normals(6, fac.size)
         np.testing.assert_array_equal(sampler.sample(6), 0.5 * z @ fac.factor.T)
-
-    def test_multi_dim_block_structure(self):
-        sampler = PerturbationSampler(bench_factor(), 1.0, seed=9)
-        multi = sampler.sample_multi(5, 1)
-        assert multi.shape == (5, 100, 1)
-        np.testing.assert_array_equal(multi[:, :, 0], sampler.sample(5))
-        wide = sampler.sample_multi(3, 4)
-        assert wide.shape == (3, 100, 4)
-        assert not np.array_equal(wide[:, :, 0], wide[:, :, 1])
 
     def test_empirical_covariance(self):
         # 50k draws at m=10: entrywise tolerance 5 sigma^2 g^2 / sqrt(B)

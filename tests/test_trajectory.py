@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nfgopt import (
-    ConfigError,
-    DegeneratePathError,
+from nfgopt.errors import ConfigError, DegeneratePathError
+from nfgopt.trajectory import (
     TimeGrid,
     Trajectory,
     WaypointPath,
