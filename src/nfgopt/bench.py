@@ -26,7 +26,6 @@ import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -276,7 +275,7 @@ class Method:
     the score config's value of the same name."""
 
     config: type
-    run: Callable
+    run: typing.Callable
     score_defaults: tuple[str, ...] = ()
 
 
