@@ -62,7 +62,7 @@ class StompConfig:
     perturbations with weights exp(-h (J_s - J_min) / (J_max - J_min + delta)).
     ``temperature`` is h; the perturbation covariance comes from the sampler
     passed at run time (shared with the natural-gradient optimizer), and
-    ``sigma`` is the scale of the sampler the benchmark builds.
+    ``sigma`` scales its unit-scale draws.
     """
 
     sigma: float = 1.0
@@ -107,7 +107,7 @@ def stomp_optimize(
     dt = y0.grid.dt
 
     def reweight(values: np.ndarray, k: int) -> _Step:
-        eps = sampler.with_stream(k).sample(cfg.batch)
+        eps = cfg.sigma * sampler.with_stream(k).sample(cfg.batch)
         scores = batch_scores(env, values[None, :] + eps, times, dt, score_cfg)
         return _reweighted(_stomp_raw(1.0 - scores, cfg.temperature), eps, float(scores.max()))
 

@@ -16,6 +16,7 @@ Outputs under the configured directory:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -40,12 +41,14 @@ from .baselines import (
 )
 from .environment import (
     BoxEnvironment,
+    BoxObstacle,
     ScoreConfig,
     batch_scores,
+    load_preset,
     penetration_profile,
     trajectory_score,
 )
-from .errors import ConfigError, DegeneratePathError
+from .errors import ConfigError, DegeneratePathError, NonFiniteStepError
 from .nfg import IterationTrace, NfgConfig, optimize
 from .sampling import CovarianceFactor, PerturbationSampler, SEKernel, factorize, kernel_matrix
 from .trajectory import (
@@ -77,12 +80,11 @@ SUMMARY_FIELDS = (
 
 @dataclass(frozen=True)
 class MethodSpec:
-    name: str
-    params: dict
+    """A configured method: its name in :data:`METHODS` and its parsed
+    config dataclass."""
 
-    def __post_init__(self) -> None:
-        if self.name not in METHODS:
-            raise ConfigError(f"unknown method {self.name!r}; known methods: {', '.join(METHODS)}")
+    name: str
+    config: object
 
 
 @dataclass(frozen=True)
@@ -127,20 +129,10 @@ class RunRecord:
             raise ValueError("avg_jerk must be present exactly for successful runs")
 
 
-def _require(mapping: dict, allowed: dict, where: str) -> dict:
-    """Pick known keys with defaults; reject unknown ones."""
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
-    merged = dict(allowed)
-    merged.update(mapping)
-    return merged
-
-
 def _typed(value, hint, where: str):
     """``value`` checked against the type ``hint``, never coerced except
     that an int is accepted, as a float, where a float is expected. JSON
-    lists stand for tuples."""
+    lists stand for tuples and JSON objects for dataclasses."""
     union = typing.get_origin(hint) in (typing.Union, types.UnionType)
     options = typing.get_args(hint) if union else (hint,)
     for option in options:
@@ -154,6 +146,10 @@ def _typed(value, hint, where: str):
             return option(value)
         if option is float and isinstance(value, float):
             return value
+        if option is dict and isinstance(value, dict):
+            return value
+        if dataclasses.is_dataclass(option) and isinstance(value, dict):
+            return _from_fields(option, value, where)
         if typing.get_origin(option) is tuple and isinstance(value, (list, tuple)):
             item = typing.get_args(option)[0]
             return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
@@ -161,64 +157,75 @@ def _typed(value, hint, where: str):
     raise ConfigError(f"{where} must be {name}, got {value!r}")
 
 
-def _from_fields(cls, params: dict, where: str, defaults: dict | None = None):
-    """Build dataclass ``cls`` from JSON ``params``: its init fields are the
-    allowed keys, ``defaults`` and then its own defaults fill the missing
-    ones, and each value must have its field's type."""
+def _checked(params, schema: dict, where: str) -> dict:
+    """The JSON object ``params`` checked against ``schema``, which maps
+    each allowed key to its (type, default), a default of MISSING marking a
+    required key. Every allowed key is in the result: a given value checked
+    by :func:`_typed`, an absent one as its default."""
     if not isinstance(params, dict):
         raise ConfigError(f"{where} must be an object, got {params!r}")
-    params = {**(defaults or {}), **params}
-    hints = typing.get_type_hints(cls)
-    allowed = sorted(f.name for f in dataclasses.fields(cls) if f.init)
-    unknown = set(params) - set(allowed)
+    unknown = set(params) - set(schema)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {allowed}")
-    return cls(**{key: _typed(value, hints[key], f"{where}.{key}") for key, value in params.items()})
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(schema)}")
+    missing = [key for key, (_, default) in schema.items() if key not in params and default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return {
+        key: _typed(params[key], hint, f"{where}.{key}") if key in params else default
+        for key, (hint, default) in schema.items()
+    }
+
+
+def _from_fields(cls, params, where: str):
+    """Dataclass ``cls`` built from the JSON object ``params``: its init
+    fields are the keys, with their types and defaults."""
+    hints = typing.get_type_hints(cls)
+    schema = {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.init}
+    return cls(**_checked(params, schema, where))
+
+
+# The top-level keys of a benchmark config with their types and defaults.
+CONFIG_FIELDS = {
+    "environment": (str | tuple[BoxObstacle, ...], "narrow-passage-v1"),
+    "grid": (TimeGrid, TimeGrid()),
+    "kernel": (SEKernel, SEKernel()),
+    "reg_scale": (float, 1e-6),
+    "score": (ScoreConfig, ScoreConfig()),
+    "methods": (tuple[dict, ...], dataclasses.MISSING),
+    "seeds": (tuple[int, ...], (0, 1, 2, 3, 4)),
+    "output_dir": (str, "results"),
+}
+
+
+def _method_spec(params: dict, where: str, score: ScoreConfig) -> MethodSpec:
+    """One ``methods`` entry: a ``name`` from :data:`METHODS` and that
+    method's config fields."""
+    params = dict(params)
+    if "name" not in params:
+        raise ConfigError(f"{where}: missing keys ['name']")
+    name = _typed(params.pop("name"), str, f"{where}.name")
+    method = METHODS.get(name)
+    if method is None:
+        raise ConfigError(f"unknown method {name!r}; known methods: {', '.join(METHODS)}")
+    params = {**{key: getattr(score, key) for key in method.score_defaults}, **params}
+    return MethodSpec(name, _from_fields(method.config, params, f"methods[{name}]"))
 
 
 def parse_config(raw: dict) -> BenchConfig:
     """Build a validated BenchConfig from a parsed JSON document."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    top = _require(
-        raw,
-        {
-            "environment": "narrow-passage-v1",
-            "grid": {},
-            "kernel": {},
-            "reg_scale": 1e-6,
-            "reg": None,
-            "score": {},
-            "methods": None,
-            "seeds": [0, 1, 2, 3, 4],
-            "output_dir": "results",
-        },
-        "config",
-    )
-    env = BoxEnvironment.from_config(top["environment"])
-    grid = _from_fields(TimeGrid, top["grid"], "grid", {"horizon_seconds": 1.0, "rate_hz": 100.0})
-    kernel = _from_fields(SEKernel, top["kernel"], "kernel", {"variance": 0.29, "length_scale": 0.22})
-    reg = _typed(top["reg"], float | None, "reg")
-    if reg is None:
-        reg = _typed(top["reg_scale"], float, "reg_scale") * kernel.variance
-    score = _from_fields(ScoreConfig, top["score"], "score")
-    if not isinstance(top["methods"], list) or not top["methods"]:
-        raise ConfigError("config requires a non-empty 'methods' list")
-    methods = []
-    for i, spec in enumerate(top["methods"]):
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise ConfigError(f"methods[{i}] must be an object with a 'name' key")
-        params = {k: v for k, v in spec.items() if k != "name"}
-        methods.append(MethodSpec(_typed(spec["name"], str, f"methods[{i}].name"), params))
+    top = _checked(raw, CONFIG_FIELDS, "config")
+    env = top["environment"]
     return BenchConfig(
-        environment=env,
-        grid=grid,
-        kernel=kernel,
-        reg=reg,
-        score=score,
-        methods=tuple(methods),
-        seeds=_typed(top["seeds"], tuple[int, ...], "seeds"),
-        output_dir=_typed(top["output_dir"], str, "output_dir"),
+        environment=load_preset(env) if isinstance(env, str) else BoxEnvironment(env),
+        grid=top["grid"],
+        kernel=top["kernel"],
+        reg=top["reg_scale"] * top["kernel"].variance,
+        score=top["score"],
+        methods=tuple(
+            _method_spec(params, f"methods[{i}]", top["score"]) for i, params in enumerate(top["methods"])
+        ),
+        seeds=top["seeds"],
+        output_dir=top["output_dir"],
     )
 
 
@@ -249,12 +256,12 @@ def derive_seed(method: str, seed: int) -> int:
 
 
 def _run_nfg(cfg, mu0, bench, factor, run_seed):
-    sampler = PerturbationSampler(factor, cfg.sigma, run_seed)
+    sampler = PerturbationSampler(factor, run_seed)
     return optimize(mu0, bench.environment, bench.score, sampler, cfg)
 
 
 def _run_stomp(cfg, mu0, bench, factor, run_seed):
-    sampler = PerturbationSampler(factor, cfg.sigma, run_seed)
+    sampler = PerturbationSampler(factor, run_seed)
     return stomp_optimize(mu0, bench.environment, bench.score, cfg, sampler)
 
 
@@ -264,7 +271,7 @@ def _run_chomp(cfg, mu0, bench, factor, run_seed):
 
 
 def _run_mppi(cfg, mu0, bench, factor, run_seed):
-    sampler = PerturbationSampler(factor, 1.0, run_seed)
+    sampler = PerturbationSampler(factor, run_seed)
     return mppi_optimize(mu0, bench.environment, cfg, sampler)
 
 
@@ -287,13 +294,6 @@ METHODS = {
 }
 
 
-def _method_config(spec: MethodSpec, bench: BenchConfig):
-    """The validated config dataclass of one configured method."""
-    method = METHODS[spec.name]
-    defaults = {name: getattr(bench.score, name) for name in method.score_defaults}
-    return _from_fields(method.config, spec.params, f"methods[{spec.name}]", defaults)
-
-
 def _warm_kernels(env: BoxEnvironment, grid: TimeGrid, score: ScoreConfig) -> None:
     # The first scoring call pays one-time costs; keep them out of the
     # timed run.
@@ -312,14 +312,17 @@ def run_single(
 
     The initial trajectory is all zeros for every method and seed. Runtime
     covers the method's runner: building its random source and the
-    optimizer loop.
+    optimizer loop. A non-finite update is raised as
+    :class:`NonFiniteStepError` naming the method, seed and iteration.
     """
-    cfg = _method_config(spec, bench)
     mu0 = Trajectory(bench.grid, np.zeros((bench.grid.steps, 1)))
     run_seed = derive_seed(spec.name, seed)
     _warm_kernels(bench.environment, bench.grid, bench.score)
     t0 = time.perf_counter()
-    traj, traces = METHODS[spec.name].run(cfg, mu0, bench, factor, run_seed)
+    try:
+        traj, traces = METHODS[spec.name].run(spec.config, mu0, bench, factor, run_seed)
+    except NonFiniteStepError as exc:
+        raise NonFiniteStepError(exc.iteration, spec.name, seed) from None
     runtime = time.perf_counter() - t0
     success = bool((penetration_profile(bench.environment, traj) == 0.0).all())
     record = RunRecord(
@@ -356,8 +359,6 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "
         out_dir = bench.output_dir
     K = kernel_matrix(bench.grid, bench.kernel)
     factor = factorize(K, bench.reg)
-    for spec in bench.methods:
-        _method_config(spec, bench)  # validate every method before any run
     tasks = [
         (mi, si, spec, seed, bench, factor, out_dir)
         for mi, spec in enumerate(bench.methods)
@@ -427,8 +428,24 @@ def _fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.17g}"
 
 
+@contextlib.contextmanager
+def _atomic_csv(path: str):
+    """A file handle whose content replaces ``path`` in one rename once the
+    block completes, so ``path`` is never half-written; a failure leaves
+    the previous file and removes the temporary one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_records_csv(path: str, records: list[RunRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_csv(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
@@ -472,7 +489,7 @@ def read_records_csv(path: str) -> list[RunRecord]:
 
 
 def write_summary_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_csv(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)
         for row in rows:

@@ -51,26 +51,6 @@ class BoxEnvironment:
             [[b.t_lo, b.t_hi, b.y_lo, b.y_hi] for b in self.boxes], dtype=np.float64
         ).reshape(len(self.boxes), 4)
 
-    @staticmethod
-    def from_config(spec: str | list) -> BoxEnvironment:
-        """Build from a preset name or a list of box records.
-
-        Each record is a mapping with keys t_lo, t_hi, y_lo, y_hi.
-        """
-        if isinstance(spec, str):
-            return load_preset(spec)
-        if not isinstance(spec, list):
-            raise ConfigError(f"environment must be a preset name or list of boxes, got {type(spec).__name__}")
-        boxes = []
-        for i, rec in enumerate(spec):
-            if not isinstance(rec, dict) or set(rec) != {"t_lo", "t_hi", "y_lo", "y_hi"}:
-                raise ConfigError(f"box {i} must have exactly keys t_lo, t_hi, y_lo, y_hi, got {rec!r}")
-            coords = [rec[key] for key in ("t_lo", "t_hi", "y_lo", "y_hi")]
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coords):
-                raise ConfigError(f"box {i} coordinates must be numbers, got {rec!r}")
-            boxes.append(BoxObstacle(*(float(v) for v in coords)))
-        return BoxEnvironment(tuple(boxes))
-
 
 def narrow_passage_v1() -> BoxEnvironment:
     """Four-box benchmark environment.
@@ -108,7 +88,8 @@ class ScoreConfig:
     """Scoring parameters: jerk penalty weight and exponent power.
 
     ``lambda_jerk`` scales the smoothness penalty in the collision-free
-    branch; ``n_pow`` is the power applied by :func:`exp_transform`.
+    branch; ``n_pow`` is the default power of the natural-gradient weights
+    exp(n_pow * score) in a benchmark config.
     """
 
     lambda_jerk: float = 1e-4
@@ -138,10 +119,6 @@ def penetration_profile(env: BoxEnvironment, traj: Trajectory) -> np.ndarray:
     return _kernels.penetration_profile_batch(values[None, :], traj.times(), env.as_array())[0]
 
 
-def is_collision_free(env: BoxEnvironment, traj: Trajectory) -> bool:
-    return bool((penetration_profile(env, traj) == 0.0).all())
-
-
 def batch_scores(
     env: BoxEnvironment,
     values: np.ndarray,
@@ -168,19 +145,6 @@ def trajectory_score(env: BoxEnvironment, traj: Trajectory, cfg: ScoreConfig) ->
     return float(
         batch_scores(env, values[None, :], traj.times(), traj.grid.dt, cfg)[0]
     )
-
-
-def exp_transform(score: float, cfg: ScoreConfig) -> float:
-    """exp(n_pow * score), clamped to keep the result finite.
-
-    A score of -inf (hard infeasibility) maps to exactly 0. Finite
-    exponent arguments are clamped to +-700, which preserves ordering for
-    all scores arising from box environments (|score| well under 7).
-    """
-    if score == -np.inf:
-        return 0.0
-    arg = cfg.n_pow * score
-    return float(np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP)))
 
 
 def _require_1d(traj: Trajectory) -> np.ndarray:

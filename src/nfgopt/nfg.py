@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .environment import EXP_CLAMP, BoxEnvironment, ScoreConfig, batch_scores, penetration_profile
-from .errors import ConfigError, DegenerateBatchError
+from .errors import ConfigError, DegenerateBatchError, NonFiniteStepError
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
 
@@ -146,8 +146,7 @@ def estimate_direction(
         Maps a (B, m) batch of candidate vectors to (B,) scores; -inf marks
         hard infeasibility.
     sampler : PerturbationSampler
-        Must carry the same sigma as ``cfg`` since the estimator divides by
-        sigma^2 of the distribution the perturbations were drawn from.
+        Source of the unit-scale perturbations, which ``cfg.sigma`` scales.
 
     Returns
     -------
@@ -161,11 +160,7 @@ def estimate_direction(
         raise ConfigError(
             f"mu has shape {mu_values.shape} but the covariance factor is {sampler.factor.size}x{sampler.factor.size}"
         )
-    if abs(sampler.sigma - cfg.sigma) > 1e-12 * cfg.sigma:
-        raise ConfigError(
-            f"sampler sigma {sampler.sigma} does not match config sigma {cfg.sigma}"
-        )
-    eps = sampler.sample(cfg.batch)
+    eps = cfg.sigma * sampler.sample(cfg.batch)
     scores = np.asarray(objective(mu_values[None, :] + eps), dtype=np.float64)
     if scores.shape != (cfg.batch,):
         raise ValueError(f"objective returned shape {scores.shape}, expected ({cfg.batch},)")
@@ -199,8 +194,9 @@ def _iterate(
     ``feasibility`` callable), stops before updating when ``early_stop`` is
     set and the values are feasible, then applies ``update(values, k)``.
     The step it returns is added with the start point pinned; a step of
-    None leaves the values unchanged. One trace row is written per
-    completed iteration.
+    None leaves the values unchanged, and a step that leaves them NaN or
+    infinite raises :class:`NonFiniteStepError`. One trace row is written
+    per completed iteration.
     """
     values = np.asarray(values0, dtype=np.float64).copy()
     if values.ndim != 1:
@@ -216,6 +212,8 @@ def _iterate(
         if step.delta is not None:
             values = values + step.delta
             values[0] = start
+            if not np.isfinite(values).all():
+                raise NonFiniteStepError(k)
         traces.append(
             IterationTrace(
                 k, step.best_score, step.mean_weight, step.norm, feasible,

@@ -1,13 +1,14 @@
 """Squared-exponential kernel, regularized Cholesky factor, and smooth
 Gaussian perturbation sampling.
 
-Perturbations are ``eps = sigma * L @ z`` with ``L L^T = K + reg*I`` and
-``z ~ N(0, I_m)``, so every sample is a smooth function drawn from the
-kernel's function space. Randomness is counter-based: draw ``s`` of stream
-``(seed, stream_id)`` is generated by a Philox engine keyed on
-``(seed, stream_id)`` with its counter set to ``s``, which makes each draw a
-pure function of ``(seed, stream_id, s)``. Any partition of a batch across
-workers concatenates to the single-threaded result.
+The sampler draws unit-scale perturbations ``L @ z`` with
+``L L^T = K + reg*I`` and ``z ~ N(0, I_m)``, so every sample is a smooth
+function drawn from the kernel's function space; an optimizer scales them
+by the ``sigma`` of its own config. Randomness is counter-based: draw
+``s`` of stream ``(seed, stream_id)`` is generated by a Philox engine
+keyed on ``(seed, stream_id)`` with its counter set to ``s``, which makes
+each draw a pure function of ``(seed, stream_id, s)``. Any partition of a
+batch across workers concatenates to the single-threaded result.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ _UINT64_MAX = 2**64 - 1
 class SEKernel:
     """Squared-exponential kernel k(x, x') = variance * exp(-|x-x'|^2 / (2 l^2))."""
 
-    variance: float
-    length_scale: float
+    variance: float = 0.29
+    length_scale: float = 0.22
 
     def __post_init__(self) -> None:
         if not (self.variance > 0.0 and np.isfinite(self.variance)):
@@ -90,7 +91,7 @@ def factorize(K: np.ndarray, reg: float) -> CovarianceFactor:
 
 @dataclass(frozen=True)
 class PerturbationSampler:
-    """Deterministic stream of smooth perturbations eps = sigma * L @ z.
+    """Deterministic stream of unit-scale smooth perturbations L @ z.
 
     ``stream_id`` partitions the seed into independent substreams (one per
     optimizer iteration); within a stream, draw ``s`` is fixed by its index
@@ -99,13 +100,10 @@ class PerturbationSampler:
     """
 
     factor: CovarianceFactor
-    sigma: float
     seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
         if not (0 <= self.seed <= _UINT64_MAX):
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if not (0 <= self.stream_id <= _UINT64_MAX):
@@ -134,6 +132,6 @@ class PerturbationSampler:
         return out
 
     def sample(self, count: int) -> np.ndarray:
-        """Draw ``count`` smooth perturbations, shape (count, m)."""
+        """Draw ``count`` unit-scale smooth perturbations, shape (count, m)."""
         z = self.normals(count, self.factor.size)
-        return self.sigma * z @ self.factor.factor.T
+        return z @ self.factor.factor.T

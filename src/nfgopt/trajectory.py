@@ -42,8 +42,8 @@ class TimeGrid:
     sample sits at ``horizon_seconds - dt``.
     """
 
-    horizon_seconds: float
-    rate_hz: float
+    horizon_seconds: float = 1.0
+    rate_hz: float = 100.0
     steps: int = field(init=False)
     dt: float = field(init=False)
 
@@ -106,10 +106,6 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         return self.grid.times()
-
-    def to_csv(self, path: str) -> None:
-        """Write ``t,dim0,...,dimN`` rows at full double precision."""
-        write_trajectory_csv(self, path)
 
 
 @dataclass(frozen=True)

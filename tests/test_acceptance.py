@@ -158,11 +158,11 @@ class TestCriterion2SmoothedGradientIdentity:
             return np.tanh(values @ a)
 
         cfg = NfgConfig(sigma=sigma, n_pow=n_pow, batch=batch, weight_mode="raw")
-        estimate, _ = estimate_direction(mu, f, PerturbationSampler(factor, sigma, seed=42), cfg)
+        estimate, _ = estimate_direction(mu, f, PerturbationSampler(factor, seed=42), cfg)
 
         # common random numbers: the same perturbations back every finite
         # difference evaluation of the smoothed objective
-        eps = PerturbationSampler(factor, sigma, seed=42).sample(batch)
+        eps = sigma * PerturbationSampler(factor, seed=42).sample(batch)
 
         def smoothed(m):
             return np.exp(n_pow * f(m[None, :] + eps)).mean()
@@ -189,7 +189,7 @@ class TestCriterion3LinearClosedForm:
         mu = np.array([0.1, 0.0, -0.2, 0.3, 0.0])
         cfg = NfgConfig(sigma=sigma, n_pow=n_pow, batch=batch, weight_mode="raw")
         estimate, _ = estimate_direction(
-            mu, lambda values: values @ a, PerturbationSampler(factor, sigma, seed=7), cfg
+            mu, lambda values: values @ a, PerturbationSampler(factor, seed=7), cfg
         )
         growth = np.exp(n_pow * (a @ mu) + 0.5 * n_pow**2 * sigma**2 * (a @ K_lam @ a))
         expected = n_pow * growth * (K_lam @ a)
@@ -206,12 +206,12 @@ class TestCriterion4ConstantObjectiveNull:
         estimate, _ = estimate_direction(
             np.zeros(10),
             lambda values: np.full(values.shape[0], 0.3),
-            PerturbationSampler(factor, sigma, seed=17),
+            PerturbationSampler(factor, seed=17),
             cfg,
         )
         # constant scores make every weight 1, so the estimate is the mean
         # perturbation; its standard error comes from the same draw
-        eps = PerturbationSampler(factor, sigma, seed=17).sample(batch)
+        eps = sigma * PerturbationSampler(factor, seed=17).sample(batch)
         se = np.linalg.norm(eps.std(axis=0, ddof=1) / (sigma**2 * np.sqrt(batch)))
         ratio = np.linalg.norm(estimate) / se
         report(4, "constant objective null estimate", ratio <= 5.0, f"|mean| = {ratio:.2f} standard errors")
@@ -222,7 +222,7 @@ class TestCriterion5PerturbationCovariance:
         grid = TimeGrid(0.1, 100.0)
         factor = factorize(kernel_matrix(grid, SEKernel(BENCH_VARIANCE, BENCH_LENGTH)), BENCH_REG)
         sigma, batch = 1.0, 50_000
-        eps = PerturbationSampler(factor, sigma, seed=23).sample(batch)
+        eps = sigma * PerturbationSampler(factor, seed=23).sample(batch)
         empirical = eps.T @ eps / batch
         target = sigma**2 * factor.covariance()
         worst = np.abs(empirical - target).max()
@@ -248,7 +248,7 @@ class TestCriterion7ResamplingExactness:
 
         grid = TimeGrid(1.0, 100.0)
         factor = factorize(kernel_matrix(grid, SEKernel(BENCH_VARIANCE, BENCH_LENGTH)), BENCH_REG)
-        values = PerturbationSampler(factor, 1.0, seed=31).sample(1)[0]
+        values = PerturbationSampler(factor, seed=31).sample(1)[0]
         path = WaypointPath(values[:, None])
         round_trip = resample(path, grid.times(), grid)
         trip_ok = np.array_equal(round_trip.values[:, 0], values)
@@ -302,7 +302,7 @@ class TestCriterion9IterationsScaleWithGrid:
                 _, traces = optimize_objective(
                     np.zeros(steps),
                     lambda values: values.mean(axis=1),
-                    PerturbationSampler(factor, 1.0, seed=seed),
+                    PerturbationSampler(factor, seed=seed),
                     cfg,
                     feasibility=lambda v: v.mean() >= 0.5,
                 )

@@ -30,9 +30,9 @@ ENV = narrow_passage_v1()
 SCORE = ScoreConfig()
 
 
-def bench_sampler(seed=0, sigma=1.0):
+def bench_sampler(seed=0):
     K = kernel_matrix(GRID, SEKernel(0.29, 0.22))
-    return PerturbationSampler(factorize(K, 1e-6 * 0.29), sigma, seed=seed)
+    return PerturbationSampler(factorize(K, 1e-6 * 0.29), seed=seed)
 
 
 def traj_1d(grid, values):
@@ -88,6 +88,14 @@ class TestStompOptimize:
         expected[0] = y0.values[0, 0]
         np.testing.assert_array_equal(out.values[:, 0], expected)
         assert len(traces) == 1
+
+    def test_zero_sigma_leaves_values_unchanged(self):
+        # the config's sigma scales the sampler's unit-scale draws
+        y0 = traj_1d(GRID, np.linspace(0.0, 1.0, 100))
+        cfg = StompConfig(sigma=0.0, batch=20, iterations=3)
+        out, traces = stomp_optimize(y0, ENV, SCORE, cfg, bench_sampler(4))
+        np.testing.assert_array_equal(out.values, y0.values)
+        assert len(traces) == 3
 
     def test_start_pinned(self):
         y0 = traj_1d(GRID, np.full(100, 0.25))

@@ -1,11 +1,14 @@
 import copy
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from nfgopt.baselines import ChompConfig, StompConfig
 from nfgopt.bench import (
+    MethodSpec,
     RunRecord,
     aggregate,
     derive_seed,
@@ -16,10 +19,12 @@ from nfgopt.bench import (
     run_benchmark,
     run_single,
     write_records_csv,
+    write_summary_csv,
 )
 from nfgopt.cli import main
-from nfgopt.environment import ScoreConfig, load_preset, penetration_profile
-from nfgopt.errors import ConfigError, DegeneratePathError
+from nfgopt.environment import BoxObstacle, ScoreConfig, load_preset, penetration_profile
+from nfgopt.errors import ConfigError, DegeneratePathError, NonFiniteStepError
+from nfgopt.nfg import NfgConfig
 from nfgopt.sampling import factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, Trajectory, read_trajectory_csv
 
@@ -60,10 +65,12 @@ class TestParseConfig:
         assert cfg.seeds == (0, 1, 2, 3, 4)
         assert cfg.output_dir == "results"
         assert len(cfg.environment.boxes) == 4
+        assert cfg.methods == (MethodSpec("chomp", ChompConfig()),)
 
-    def test_reg_override_wins(self):
-        cfg = parse_config({"methods": [{"name": "chomp"}], "reg": 0.5, "reg_scale": 1e-3})
-        assert cfg.reg == 0.5
+    def test_nfg_n_pow_defaults_to_score(self):
+        cfg = parse_config({"methods": [{"name": "nfg"}, {"name": "stomp"}], "score": {"n_pow": 50.0}})
+        assert cfg.methods[0].config == NfgConfig(n_pow=50.0)
+        assert cfg.methods[1].config == StompConfig()
 
     def test_reg_scale(self):
         cfg = parse_config({"methods": [{"name": "chomp"}], "reg_scale": 1e-3})
@@ -73,10 +80,10 @@ class TestParseConfig:
         cfg = parse_config(
             {
                 "methods": [{"name": "chomp"}],
-                "environment": [{"t_lo": 0.0, "t_hi": 0.5, "y_lo": -1.0, "y_hi": 1.0}],
+                "environment": [{"t_lo": 0.0, "t_hi": 0.5, "y_lo": -1, "y_hi": 1.0}],
             }
         )
-        assert len(cfg.environment.boxes) == 1
+        assert cfg.environment.boxes == (BoxObstacle(0.0, 0.5, -1.0, 1.0),)
 
     @pytest.mark.parametrize(
         "raw",
@@ -93,20 +100,19 @@ class TestParseConfig:
             {"methods": [{"name": "chomp"}, {"name": "chomp"}]},
             {"methods": [{"name": "chomp"}], "environment": 42},
             {"methods": [{"name": "chomp"}], "kernel": {"variance": -1.0}},
+            {"methods": [{"name": "chomp"}], "environment": [{"t_lo": 0.0, "t_hi": 1.0, "lo": -1.0, "hi": 1.0}]},
+            {"methods": [{"name": "chomp"}], "reg": 0.5},
         ],
     )
     def test_invalid(self, raw):
         with pytest.raises(ConfigError):
             parse_config(raw)
 
-    def test_unknown_method_param_rejected_before_running(self, tmp_path):
+    def test_unknown_method_param_rejected_before_running(self):
         raw = copy.deepcopy(MINI_RAW)
         raw["methods"][1]["step_size"] = 0.1
-        cfg = parse_config(raw)
-        out = tmp_path / "out"
         with pytest.raises(ConfigError, match="step_size"):
-            run_benchmark(cfg, out_dir=str(out))
-        assert not (out / "records.csv").exists()
+            parse_config(raw)
 
 
 class TestStrictTypes:
@@ -138,7 +144,17 @@ class TestStrictTypes:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "must be" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert not out.exists()
+
+    def test_missing_box_key_rejected_with_exit_code_2(self, tmp_path, capsys):
+        raw = copy.deepcopy(MINI_RAW)
+        raw["environment"] = [{"t_lo": 0.1, "t_hi": 0.2, "y_lo": -1.0}]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "missing keys ['y_hi']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_int_accepted_for_float_field(self):
         raw = copy.deepcopy(MINI_RAW)
@@ -239,6 +255,27 @@ class TestRunBenchmark:
             assert free == record.success
 
 
+class TestNonFiniteUpdate:
+    # Wiener noise this large overflows the rollout costs, so the softmin
+    # weights, and with them the first update, are NaN.
+    RAW = {
+        "grid": {"horizon_seconds": 0.3},
+        "seeds": [0, 1],
+        "methods": [{"name": "mppi", "rollouts": 4, "iterations": 2, "noise_scale": 1e200}],
+    }
+
+    def test_cli_names_method_seed_and_iteration(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(self.RAW))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+        assert "NonFiniteStepError: non-finite update at mppi seed 0, iteration 0" in capsys.readouterr().err
+
+    def test_error_crosses_worker_processes(self):
+        with pytest.raises(NonFiniteStepError) as info:
+            run_benchmark(parse_config(copy.deepcopy(self.RAW)), parallel=2, out_dir=None)
+        assert (info.value.method, info.value.seed, info.value.iteration) == ("mppi", 0, 0)
+
+
 class TestAggregate:
     def make(self, method, seed, success, runtime=1.0, length=2.0, jerk=5.0):
         return RunRecord(
@@ -305,6 +342,9 @@ class TestRunRecord:
             RunRecord("nfg", 0, False, 1.0, 2.0, 3.0, 10)
 
 
+FAILED_RUN = RunRecord("nfg", 1, False, 1.0, 2.0, None, 3)
+
+
 class TestRecordsCsv:
     def test_round_trip_exact(self, tmp_path):
         records = [
@@ -315,6 +355,23 @@ class TestRecordsCsv:
         write_records_csv(str(path), records)
         loaded = read_records_csv(str(path))
         assert loaded == records
+
+    @pytest.mark.parametrize(
+        "write,good,bad",
+        [
+            (write_records_csv, FAILED_RUN, dataclasses.replace(FAILED_RUN, runtime="slow")),
+            (write_summary_csv, aggregate([FAILED_RUN])[0], {**aggregate([FAILED_RUN])[0], "time_mean": "slow"}),
+        ],
+    )
+    def test_failed_write_keeps_previous_file(self, tmp_path, write, good, bad):
+        path = tmp_path / "out.csv"
+        write(str(path), [good, good])
+        before = path.read_text()
+        # the bad row fails to format after the good one was written
+        with pytest.raises(ValueError):
+            write(str(path), [good, bad])
+        assert path.read_text() == before
+        assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -7,8 +7,6 @@ from nfgopt.environment import (
     BoxObstacle,
     ScoreConfig,
     batch_scores,
-    exp_transform,
-    is_collision_free,
     load_preset,
     narrow_passage_v1,
     penetration_profile,
@@ -50,16 +48,6 @@ class TestBoxes:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown environment preset"):
             load_preset("narrow-passage-v9")
-
-    def test_from_config_list(self):
-        env = BoxEnvironment.from_config(
-            [{"t_lo": 0.0, "t_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0}]
-        )
-        assert len(env.boxes) == 1
-
-    def test_from_config_bad_keys(self):
-        with pytest.raises(ConfigError, match="keys"):
-            BoxEnvironment.from_config([{"t_lo": 0.0, "t_hi": 1.0, "lo": -1.0, "hi": 1.0}])
 
     def test_empty_environment_allowed(self):
         env = BoxEnvironment(())
@@ -156,10 +144,6 @@ class TestTrajectoryScore:
         with pytest.raises(ValueError, match="1-D"):
             trajectory_score(ENV, traj, SCORE)
 
-    def test_is_collision_free(self):
-        assert not is_collision_free(ENV, traj_1d(np.zeros(100)))
-        assert is_collision_free(BoxEnvironment(()), traj_1d(np.zeros(100)))
-
     def test_penetration_profile_matches_steps(self):
         values = np.zeros(100)
         profile = penetration_profile(ENV, traj_1d(values))
@@ -168,37 +152,7 @@ class TestTrajectoryScore:
         np.testing.assert_array_equal(profile, expected)
 
 
-class TestExpTransform:
-    def test_zero_score(self):
-        assert exp_transform(0.0, SCORE) == 1.0
-
-    def test_benchmark_power(self):
-        assert exp_transform(1.0, ScoreConfig(n_pow=100.0)) == np.exp(100.0)
-
-    def test_neg_inf_maps_to_zero(self):
-        assert exp_transform(float("-inf"), SCORE) == 0.0
-
-    def test_clamped_but_positive(self):
-        out = exp_transform(-50.0, ScoreConfig(n_pow=100.0))
-        assert 0.0 < out < 1e-300
-
-    def test_overflow_guarded(self):
-        assert np.isfinite(exp_transform(50.0, ScoreConfig(n_pow=100.0)))
-
-    def test_monotone(self):
-        rng = np.random.default_rng(11)
-        scores = rng.uniform(-5.0, 1.0, size=100)
-        out = np.array([exp_transform(s, SCORE) for s in scores])
-        order = np.argsort(scores)
-        assert np.all(np.diff(out[order]) >= 0.0)
-
-    def test_argmax_preserved(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            scores = rng.uniform(-5.0, 1.0, size=30)
-            out = [exp_transform(s, SCORE) for s in scores]
-            assert int(np.argmax(out)) == int(np.argmax(scores))
-
+class TestScoreConfig:
     @pytest.mark.parametrize("lambda_jerk,n_pow", [(-1.0, 100.0), (1e-4, 0.0), (1e-4, -5.0)])
     def test_config_validation(self, lambda_jerk, n_pow):
         with pytest.raises(ConfigError):

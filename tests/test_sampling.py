@@ -87,51 +87,46 @@ class TestFactorize:
 
 
 class TestPerturbationSampler:
-    def test_zero_sigma_zero_samples(self):
-        sampler = PerturbationSampler(bench_factor(), 0.0, seed=1)
-        np.testing.assert_array_equal(sampler.sample(8), np.zeros((8, 100)))
-
     def test_same_stream_identical(self):
-        sampler = PerturbationSampler(bench_factor(), 1.0, seed=5, stream_id=3)
+        sampler = PerturbationSampler(bench_factor(), seed=5, stream_id=3)
         np.testing.assert_array_equal(sampler.sample(16), sampler.sample(16))
 
     def test_streams_differ(self):
-        sampler = PerturbationSampler(bench_factor(), 1.0, seed=5)
+        sampler = PerturbationSampler(bench_factor(), seed=5)
         a = sampler.with_stream(0).sample(4)
         b = sampler.with_stream(1).sample(4)
         assert not np.array_equal(a, b)
 
     def test_seeds_differ(self):
         fac = bench_factor()
-        a = PerturbationSampler(fac, 1.0, seed=5).sample(4)
-        b = PerturbationSampler(fac, 1.0, seed=6).sample(4)
+        a = PerturbationSampler(fac, seed=5).sample(4)
+        b = PerturbationSampler(fac, seed=6).sample(4)
         assert not np.array_equal(a, b)
 
     def test_partition_concatenates_to_serial(self):
         # draw index alone fixes each sample, so prefixes always agree
-        sampler = PerturbationSampler(bench_factor(), 0.7, seed=11, stream_id=2)
+        sampler = PerturbationSampler(bench_factor(), seed=11, stream_id=2)
         whole = sampler.sample(12)
         np.testing.assert_array_equal(whole[:5], sampler.sample(5))
         np.testing.assert_array_equal(whole[:9], sampler.sample(9))
 
     def test_sample_is_factor_times_normals(self):
         fac = bench_factor()
-        sampler = PerturbationSampler(fac, 0.5, seed=3, stream_id=1)
+        sampler = PerturbationSampler(fac, seed=3, stream_id=1)
         z = sampler.normals(6, fac.size)
-        np.testing.assert_array_equal(sampler.sample(6), 0.5 * z @ fac.factor.T)
+        np.testing.assert_array_equal(sampler.sample(6), z @ fac.factor.T)
 
     def test_empirical_covariance(self):
-        # 50k draws at m=10: entrywise tolerance 5 sigma^2 g^2 / sqrt(B)
+        # 50k draws at m=10: entrywise tolerance 5 g^2 / sqrt(B)
         grid = TimeGrid(0.1, 100.0)
         K = kernel_matrix(grid, BENCH_KERNEL)
         reg = 1e-6 * BENCH_KERNEL.variance
         fac = factorize(K, reg)
-        sigma = 0.7
         draws = 50_000
-        eps = PerturbationSampler(fac, sigma, seed=21).sample(draws)
+        eps = PerturbationSampler(fac, seed=21).sample(draws)
         empirical = (eps.T @ eps) / draws
-        target = sigma**2 * (K + reg * np.eye(10))
-        tol = 5.0 * sigma**2 * BENCH_KERNEL.variance / np.sqrt(draws)
+        target = K + reg * np.eye(10)
+        tol = 5.0 * BENCH_KERNEL.variance / np.sqrt(draws)
         assert np.abs(empirical - target).max() <= tol
 
     def test_variance_scaling(self):
@@ -142,21 +137,16 @@ class TestPerturbationSampler:
         np.testing.assert_allclose(K4, 4.0 * K, rtol=1e-15)
         fac = factorize(K, 1e-6 * 0.29)
         fac4 = factorize(4.0 * K, 4.0 * 1e-6 * 0.29)
-        a = PerturbationSampler(fac, 1.0, seed=2).sample(10)
-        b = PerturbationSampler(fac4, 1.0, seed=2).sample(10)
+        a = PerturbationSampler(fac, seed=2).sample(10)
+        b = PerturbationSampler(fac4, seed=2).sample(10)
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
-
-    @pytest.mark.parametrize("sigma", [-0.1, float("nan")])
-    def test_bad_sigma(self, sigma):
-        with pytest.raises(ConfigError):
-            PerturbationSampler(bench_factor(), sigma, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_bad_seed(self, seed):
         with pytest.raises(ConfigError):
-            PerturbationSampler(bench_factor(), 1.0, seed=seed)
+            PerturbationSampler(bench_factor(), seed=seed)
 
     def test_count_validation(self):
-        sampler = PerturbationSampler(bench_factor(), 1.0, seed=0)
+        sampler = PerturbationSampler(bench_factor(), seed=0)
         with pytest.raises(ConfigError):
             sampler.sample(0)

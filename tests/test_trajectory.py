@@ -276,7 +276,7 @@ class TestCsvIo:
         grid = TimeGrid(1.0, 100.0)
         traj = Trajectory(grid, np.zeros((100, 2)))
         out = tmp_path / "traj.csv"
-        traj.to_csv(str(out))
+        write_trajectory_csv(traj, str(out))
         header = out.read_text().splitlines()[0]
         assert header == "t,dim0,dim1"
 
