@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nfgopt._kernels as _kernels
+from nfgopt.bench import parse_config
 from nfgopt.environment import (
     BoxEnvironment,
     BoxObstacle,
@@ -48,6 +49,15 @@ class TestBoxes:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown environment preset"):
             load_preset("narrow-passage-v9")
+
+    def test_from_config_list(self):
+        cfg = parse_config(
+            {
+                "methods": [{"name": "chomp"}],
+                "environment": [{"t_lo": 0.0, "t_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0}],
+            }
+        )
+        assert cfg.environment.boxes == (BoxObstacle(0.0, 1.0, -1.0, 1.0),)
 
     def test_empty_environment_allowed(self):
         env = BoxEnvironment(())
