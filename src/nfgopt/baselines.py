@@ -83,15 +83,10 @@ class StompConfig:
 
 
 def _stomp_raw(costs: np.ndarray, temperature: float) -> np.ndarray:
+    """Unnormalized exponential weights over per-sample costs (lower is better)."""
     costs = np.asarray(costs, dtype=np.float64)
     spread = costs.max() - costs.min()
     return np.exp(-temperature * (costs - costs.min()) / (spread + _DELTA))
-
-
-def stomp_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized exponential weights over per-sample costs (lower is better)."""
-    raw = _stomp_raw(costs, temperature)
-    return raw / raw.sum()
 
 
 def stomp_optimize(
@@ -107,7 +102,7 @@ def stomp_optimize(
     dt = y0.grid.dt
 
     def reweight(values: np.ndarray, k: int) -> _Step:
-        eps = cfg.sigma * sampler.with_stream(k).sample(cfg.batch)
+        eps = cfg.sigma * sampler.sample(cfg.batch, k)
         scores = batch_scores(env, values[None, :] + eps, times, dt, score_cfg)
         return _reweighted(_stomp_raw(1.0 - scores, cfg.temperature), eps, float(scores.max()))
 
@@ -280,25 +275,19 @@ class MppiConfig:
 
 
 def _softmin_raw(costs: np.ndarray, temperature: float) -> np.ndarray:
+    """Unnormalized exp(-(J - J_min) / temperature); the lowest cost weighs most."""
     costs = np.asarray(costs, dtype=np.float64)
     return np.exp(-(costs - costs.min()) / temperature)
 
 
-def softmin_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
-    """Normalized exp(-(J - J_min) / temperature); the lowest cost always
-    receives the largest weight."""
-    raw = _softmin_raw(costs, temperature)
-    return raw / raw.sum()
-
-
-def wiener_noise(sampler: PerturbationSampler, count: int, steps: int, scale: float) -> np.ndarray:
-    """Wiener-process perturbations, shape (count, steps).
+def wiener_noise(sampler: PerturbationSampler, count: int, steps: int, scale: float, stream: int) -> np.ndarray:
+    """Wiener-process perturbations from substream ``stream``, shape (count, steps).
 
     Row s is the cumulative sum of i.i.d. N(0, scale^2) increments with the
     first increment zeroed, so every path starts at 0 and var(eps_t) grows
     linearly in t.
     """
-    increments = scale * sampler.normals(count, steps)
+    increments = scale * sampler.normals(count, steps, stream)
     increments[:, 0] = 0.0
     return np.cumsum(increments, axis=1)
 
@@ -323,7 +312,7 @@ def mppi_optimize(
     m = values0.shape[0]
 
     def rollout(values: np.ndarray, k: int) -> _Step:
-        eps = wiener_noise(sampler.with_stream(k), cfg.rollouts, m, scale)
+        eps = wiener_noise(sampler, cfg.rollouts, m, scale, k)
         candidates = values[None, :] + eps
         pen = _kernels.penetration_profile_batch(candidates, times, boxes)
         costs = cfg.weight_obs * (-pen).sum(axis=1) + cfg.weight_goal * (

@@ -12,14 +12,16 @@ Outputs under the configured directory:
 * ``summary.csv``: per-method aggregates (success rate, mean/std runtime,
   path length and jerk over successful runs).
 * ``<method>/<seed>/trace.csv`` and ``final_trajectory.csv`` per run.
+
+Every file is written to a temporary file and renamed into place.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -50,7 +52,7 @@ from .environment import (
 )
 from .errors import ConfigError, DegeneratePathError, NonFiniteStepError
 from .nfg import IterationTrace, NfgConfig, optimize
-from .sampling import CovarianceFactor, PerturbationSampler, SEKernel, factorize, kernel_matrix
+from .sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
 from .trajectory import (
     TimeGrid,
     Trajectory,
@@ -61,6 +63,7 @@ from .trajectory import (
     path_length,
     resample,
     unwrap_angles,
+    write_csv,
     write_trajectory_csv,
 )
 
@@ -106,6 +109,8 @@ class BenchConfig:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate method names in config: {names}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seeds in config: {list(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ CONFIG_FIELDS = {
 }
 
 
-def _method_spec(params: dict, where: str, score: ScoreConfig) -> MethodSpec:
+def _method_spec(params: dict, where: str) -> MethodSpec:
     """One ``methods`` entry: a ``name`` from :data:`METHODS` and that
     method's config fields."""
     params = dict(params)
@@ -207,7 +212,6 @@ def _method_spec(params: dict, where: str, score: ScoreConfig) -> MethodSpec:
     method = METHODS.get(name)
     if method is None:
         raise ConfigError(f"unknown method {name!r}; known methods: {', '.join(METHODS)}")
-    params = {**{key: getattr(score, key) for key in method.score_defaults}, **params}
     return MethodSpec(name, _from_fields(method.config, params, f"methods[{name}]"))
 
 
@@ -221,9 +225,7 @@ def parse_config(raw: dict) -> BenchConfig:
         kernel=top["kernel"],
         reg=top["reg_scale"] * top["kernel"].variance,
         score=top["score"],
-        methods=tuple(
-            _method_spec(params, f"methods[{i}]", top["score"]) for i, params in enumerate(top["methods"])
-        ),
+        methods=tuple(_method_spec(params, f"methods[{i}]") for i, params in enumerate(top["methods"])),
         seeds=top["seeds"],
         output_dir=top["output_dir"],
     )
@@ -278,16 +280,14 @@ def _run_mppi(cfg, mu0, bench, factor, run_seed):
 @dataclass(frozen=True)
 class Method:
     """A benchmark method: the config dataclass whose fields are its JSON
-    keys, types and defaults, its runner, and the fields that default to
-    the score config's value of the same name."""
+    keys, types and defaults, and its runner."""
 
     config: type
     run: typing.Callable
-    score_defaults: tuple[str, ...] = ()
 
 
 METHODS = {
-    "nfg": Method(NfgConfig, _run_nfg, score_defaults=("n_pow",)),
+    "nfg": Method(NfgConfig, _run_nfg),
     "stomp": Method(StompConfig, _run_stomp),
     "chomp": Method(ChompConfig, _run_chomp),
     "mppi": Method(MppiConfig, _run_mppi),
@@ -305,7 +305,7 @@ def run_single(
     spec: MethodSpec,
     seed: int,
     bench: BenchConfig,
-    factor: CovarianceFactor,
+    factor: np.ndarray,
     out_dir: str | None,
 ) -> RunRecord:
     """Run one (method, seed) pair and write its artifacts.
@@ -342,11 +342,6 @@ def run_single(
     return record
 
 
-def _run_task(args) -> tuple[int, int, RunRecord]:
-    mi, si, spec, seed, bench, factor, out_dir = args
-    return mi, si, run_single(spec, seed, bench, factor, out_dir)
-
-
 def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "") -> list[RunRecord]:
     """Run every (method, seed) pair and write records.csv plus summary.csv.
 
@@ -359,21 +354,13 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "
         out_dir = bench.output_dir
     K = kernel_matrix(bench.grid, bench.kernel)
     factor = factorize(K, bench.reg)
-    tasks = [
-        (mi, si, spec, seed, bench, factor, out_dir)
-        for mi, spec in enumerate(bench.methods)
-        for si, seed in enumerate(bench.seeds)
-    ]
-    results: dict[tuple[int, int], RunRecord] = {}
+    specs, seeds = zip(*itertools.product(bench.methods, bench.seeds))
+    args = (specs, seeds, itertools.repeat(bench), itertools.repeat(factor), itertools.repeat(out_dir))
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for mi, si, record in pool.map(_run_task, tasks):
-                results[(mi, si)] = record
+            records = list(pool.map(run_single, *args))
     else:
-        for task in tasks:
-            mi, si, record = _run_task(task)
-            results[(mi, si)] = record
-    records = [results[key] for key in sorted(results)]
+        records = list(map(run_single, *args))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_records_csv(os.path.join(out_dir, "records.csv"), records)
@@ -428,38 +415,23 @@ def _fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.17g}"
 
 
-@contextlib.contextmanager
-def _atomic_csv(path: str):
-    """A file handle whose content replaces ``path`` in one rename once the
-    block completes, so ``path`` is never half-written; a failure leaves
-    the previous file and removes the temporary one."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def write_records_csv(path: str, records: list[RunRecord]) -> None:
-    with _atomic_csv(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.method,
-                    r.seed,
-                    "true" if r.success else "false",
-                    f"{r.runtime:.17g}",
-                    f"{r.path_length:.17g}",
-                    "" if r.avg_jerk is None else f"{r.avg_jerk:.17g}",
-                    r.iterations_used,
-                ]
-            )
+    write_csv(
+        path,
+        RECORD_FIELDS,
+        (
+            [
+                r.method,
+                r.seed,
+                "true" if r.success else "false",
+                f"{r.runtime:.17g}",
+                f"{r.path_length:.17g}",
+                "" if r.avg_jerk is None else f"{r.avg_jerk:.17g}",
+                r.iterations_used,
+            ]
+            for r in records
+        ),
+    )
 
 
 def read_records_csv(path: str) -> list[RunRecord]:
@@ -489,13 +461,11 @@ def read_records_csv(path: str) -> list[RunRecord]:
 
 
 def write_summary_csv(path: str, rows: list[dict]) -> None:
-    with _atomic_csv(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [row["method"]] + [_fmt(row[field]) for field in SUMMARY_FIELDS[1:]]
-            )
+    write_csv(
+        path,
+        SUMMARY_FIELDS,
+        ([row["method"]] + [_fmt(row[field]) for field in SUMMARY_FIELDS[1:]] for row in rows),
+    )
 
 
 def format_summary(rows: list[dict]) -> str:
@@ -521,21 +491,22 @@ TRACE_FIELDS = ("method", "iter", "best_score", "mean_weight", "grad_norm", "fea
 
 
 def write_trace_csv(path: str, traces: list[IterationTrace], method: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for t in traces:
-            writer.writerow(
-                [
-                    method,
-                    t.iteration,
-                    f"{t.best_score:.17g}",
-                    f"{t.mean_weight:.17g}",
-                    f"{t.estimator_norm:.17g}",
-                    "true" if t.feasible else "false",
-                    f"{t.wall_time:.17g}",
-                ]
-            )
+    write_csv(
+        path,
+        TRACE_FIELDS,
+        (
+            [
+                method,
+                t.iteration,
+                f"{t.best_score:.17g}",
+                f"{t.mean_weight:.17g}",
+                f"{t.estimator_norm:.17g}",
+                "true" if t.feasible else "false",
+                f"{t.wall_time:.17g}",
+            ]
+            for t in traces
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -85,21 +85,14 @@ def load_preset(name: str) -> BoxEnvironment:
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Scoring parameters: jerk penalty weight and exponent power.
-
-    ``lambda_jerk`` scales the smoothness penalty in the collision-free
-    branch; ``n_pow`` is the default power of the natural-gradient weights
-    exp(n_pow * score) in a benchmark config.
-    """
+    """Scoring parameters: ``lambda_jerk`` scales the smoothness penalty in
+    the collision-free branch."""
 
     lambda_jerk: float = 1e-4
-    n_pow: float = 100.0
 
     def __post_init__(self) -> None:
         if not (self.lambda_jerk >= 0.0 and np.isfinite(self.lambda_jerk)):
             raise ConfigError(f"lambda_jerk must be non-negative, got {self.lambda_jerk}")
-        if not (self.n_pow > 0.0 and np.isfinite(self.n_pow)):
-            raise ConfigError(f"n_pow must be positive, got {self.n_pow}")
 
 
 def penetration_step(env: BoxEnvironment, t: float, y: float) -> float:

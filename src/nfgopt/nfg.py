@@ -134,7 +134,7 @@ def estimate_direction(
     objective: Callable[[np.ndarray], np.ndarray],
     sampler: PerturbationSampler,
     cfg: NfgConfig,
-    iteration: int | None = None,
+    stream: int,
 ) -> tuple[np.ndarray, dict]:
     """Monte-Carlo natural-gradient direction for a generic batch objective.
 
@@ -147,6 +147,9 @@ def estimate_direction(
         hard infeasibility.
     sampler : PerturbationSampler
         Source of the unit-scale perturbations, which ``cfg.sigma`` scales.
+    stream : int
+        Substream of the sampler to draw from; the optimizer passes its
+        iteration, which a degenerate batch's error reports.
 
     Returns
     -------
@@ -156,18 +159,18 @@ def estimate_direction(
         ``best_score`` and ``mean_weight`` of the batch.
     """
     mu_values = np.asarray(mu_values, dtype=np.float64)
-    if mu_values.ndim != 1 or mu_values.shape[0] != sampler.factor.size:
+    if mu_values.ndim != 1 or mu_values.shape[0] != sampler.factor.shape[0]:
         raise ConfigError(
-            f"mu has shape {mu_values.shape} but the covariance factor is {sampler.factor.size}x{sampler.factor.size}"
+            f"mu has shape {mu_values.shape} but the covariance factor is {sampler.factor.shape}"
         )
-    eps = cfg.sigma * sampler.sample(cfg.batch)
+    eps = cfg.sigma * sampler.sample(cfg.batch, stream)
     scores = np.asarray(objective(mu_values[None, :] + eps), dtype=np.float64)
     if scores.shape != (cfg.batch,):
         raise ValueError(f"objective returned shape {scores.shape}, expected ({cfg.batch},)")
     try:
         weights = batch_weights(scores, cfg.n_pow, cfg.weight_mode)
     except DegenerateBatchError as exc:
-        raise DegenerateBatchError(str(exc), iteration=iteration) from None
+        raise DegenerateBatchError(str(exc), iteration=stream) from None
     direction = (weights @ eps) / (cfg.batch * cfg.sigma**2)
     stats = {"best_score": float(scores.max()), "mean_weight": float(weights.mean())}
     return direction, stats
@@ -244,9 +247,7 @@ def optimize_objective(
 
     def ascent(values: np.ndarray, k: int) -> _Step:
         try:
-            direction, stats = estimate_direction(
-                values, objective, sampler.with_stream(k), cfg, iteration=k
-            )
+            direction, stats = estimate_direction(values, objective, sampler, cfg, k)
         except DegenerateBatchError:
             return _Step(None, -np.inf, 0.0, 0.0)
         norm = float(np.linalg.norm(direction))

@@ -1,19 +1,21 @@
 """Squared-exponential kernel, regularized Cholesky factor, and smooth
 Gaussian perturbation sampling.
 
-The sampler draws unit-scale perturbations ``L @ z`` with
-``L L^T = K + reg*I`` and ``z ~ N(0, I_m)``, so every sample is a smooth
-function drawn from the kernel's function space; an optimizer scales them
-by the ``sigma`` of its own config. Randomness is counter-based: draw
-``s`` of stream ``(seed, stream_id)`` is generated by a Philox engine
-keyed on ``(seed, stream_id)`` with its counter set to ``s``, which makes
-each draw a pure function of ``(seed, stream_id, s)``. Any partition of a
-batch across workers concatenates to the single-threaded result.
+:func:`factorize` returns the read-only lower-triangular ``L`` with
+``L L^T = K + reg*I``. The sampler draws unit-scale perturbations
+``L @ z`` with ``z ~ N(0, I_m)``, so every sample is a smooth function
+drawn from the kernel's function space; an optimizer scales them by the
+``sigma`` of its own config. Randomness is counter-based: draw ``s`` of
+substream ``stream`` is generated by a Philox engine keyed on
+``(seed, stream)`` with its counter set to ``s``, which makes each draw a
+pure function of ``(seed, stream, s)``. The optimizers use iteration k's
+substream for iteration k. Any partition of a batch across workers
+concatenates to the single-threaded result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -48,26 +50,8 @@ def kernel_matrix(grid, kernel: SEKernel) -> np.ndarray:
     return kernel.variance * np.exp(-(diff * diff) / (2.0 * kernel.length_scale**2))
 
 
-@dataclass(frozen=True)
-class CovarianceFactor:
-    """Lower-triangular L with L L^T = K + reg*I."""
-
-    size: int
-    reg: float
-    factor: np.ndarray
-
-    def __post_init__(self) -> None:
-        factor = np.asarray(self.factor, dtype=np.float64).copy()
-        factor.flags.writeable = False
-        object.__setattr__(self, "factor", factor)
-
-    def covariance(self) -> np.ndarray:
-        """Reconstruct the regularized covariance L L^T."""
-        return self.factor @ self.factor.T
-
-
-def factorize(K: np.ndarray, reg: float) -> CovarianceFactor:
-    """Cholesky-factor the regularized kernel matrix K + reg*I.
+def factorize(K: np.ndarray, reg: float) -> np.ndarray:
+    """Read-only lower-triangular Cholesky factor L of K + reg*I.
 
     Raises
     ------
@@ -86,44 +70,40 @@ def factorize(K: np.ndarray, reg: float) -> CovarianceFactor:
         L = np.linalg.cholesky(K + reg * np.eye(K.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise ConfigError(f"Cholesky factorization failed: {exc}") from exc
-    return CovarianceFactor(size=K.shape[0], reg=reg, factor=L)
+    L.flags.writeable = False
+    return L
 
 
 @dataclass(frozen=True)
 class PerturbationSampler:
-    """Deterministic stream of unit-scale smooth perturbations L @ z.
+    """Deterministic source of unit-scale smooth perturbations L @ z.
 
-    ``stream_id`` partitions the seed into independent substreams (one per
-    optimizer iteration); within a stream, draw ``s`` is fixed by its index
-    alone. Two calls with the same (seed, stream_id) return identical
-    output; the sampler holds no mutable state.
+    ``stream`` partitions the seed into independent substreams; within a
+    substream, draw ``s`` is fixed by its index alone. Two calls with the
+    same stream return identical output; the sampler holds no mutable
+    state.
     """
 
-    factor: CovarianceFactor
+    factor: np.ndarray
     seed: int
-    stream_id: int = 0
 
     def __post_init__(self) -> None:
         if not (0 <= self.seed <= _UINT64_MAX):
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
-        if not (0 <= self.stream_id <= _UINT64_MAX):
-            raise ConfigError(f"stream_id must fit in 64 bits, got {self.stream_id}")
 
-    def with_stream(self, stream_id: int) -> PerturbationSampler:
-        """Same seed and covariance, different substream."""
-        return replace(self, stream_id=stream_id)
-
-    def normals(self, count: int, width: int) -> np.ndarray:
+    def normals(self, count: int, width: int, stream: int) -> np.ndarray:
         """Raw standard-normal block of shape (count, width).
 
-        Draw ``s`` comes from a Philox engine keyed on (seed, stream_id)
-        with counter ``s``, independent of evaluation order or batching.
-        This is the i.i.d. source underlying :meth:`sample`; consumers that
-        need unsmoothed noise (Wiener-process rollouts) use it directly.
+        Draw ``s`` comes from a Philox engine keyed on (seed, stream) with
+        counter ``s``, independent of evaluation order or batching. This is
+        the i.i.d. source underlying :meth:`sample`; consumers that need
+        unsmoothed noise (Wiener-process rollouts) use it directly.
         """
         if count < 1:
             raise ConfigError(f"count must be at least 1, got {count}")
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        if not (0 <= stream <= _UINT64_MAX):
+            raise ConfigError(f"stream must fit in 64 bits, got {stream}")
+        key = np.array([self.seed, stream], dtype=np.uint64)
         out = np.empty((count, width))
         counter = np.zeros(4, dtype=np.uint64)
         for s in range(count):
@@ -131,7 +111,7 @@ class PerturbationSampler:
             out[s] = Generator(Philox(counter=counter, key=key)).standard_normal(width)
         return out
 
-    def sample(self, count: int) -> np.ndarray:
+    def sample(self, count: int, stream: int) -> np.ndarray:
         """Draw ``count`` unit-scale smooth perturbations, shape (count, m)."""
-        z = self.normals(count, self.factor.size)
-        return z @ self.factor.factor.T
+        z = self.normals(count, self.factor.shape[0], stream)
+        return z @ self.factor.T

@@ -16,6 +16,7 @@ call concurrently.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,16 +269,29 @@ def resample(path: WaypointPath, timestamps: np.ndarray, grid: TimeGrid) -> Traj
     return Trajectory(grid, values)
 
 
+def write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV to ``<path>.tmp``, then rename it
+    onto ``path`` (no fsync). A failure, such as a cell that fails to format
+    as ``rows`` is consumed, keeps the previous file and removes the temporary."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    header = ["t"] + [f"dim{d}" for d in range(traj.dims)]
-    times = traj.times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(traj.grid.steps):
-            writer.writerow(
-                [f"{times[i]:.17g}"] + [f"{v:.17g}" for v in traj.values[i]]
-            )
+    write_csv(
+        path,
+        ["t"] + [f"dim{d}" for d in range(traj.dims)],
+        ([f"{t:.17g}"] + [f"{v:.17g}" for v in row] for t, row in zip(traj.times(), traj.values)),
+    )
 
 
 def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

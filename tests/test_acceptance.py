@@ -149,7 +149,7 @@ class TestCriterion2SmoothedGradientIdentity:
     def test_estimate_matches_smoothed_finite_difference(self, report):
         t0 = time.perf_counter()
         factor = small_kernel_factor(3)
-        K_lam = factor.covariance()
+        K_lam = factor @ factor.T
         a = np.array([0.6, -0.3, 0.9])
         n_pow, sigma, batch = 1.5, 0.5, 200_000
         mu = np.array([0.2, -0.1, 0.05])
@@ -158,11 +158,11 @@ class TestCriterion2SmoothedGradientIdentity:
             return np.tanh(values @ a)
 
         cfg = NfgConfig(sigma=sigma, n_pow=n_pow, batch=batch, weight_mode="raw")
-        estimate, _ = estimate_direction(mu, f, PerturbationSampler(factor, seed=42), cfg)
+        estimate, _ = estimate_direction(mu, f, PerturbationSampler(factor, seed=42), cfg, 0)
 
         # common random numbers: the same perturbations back every finite
         # difference evaluation of the smoothed objective
-        eps = sigma * PerturbationSampler(factor, seed=42).sample(batch)
+        eps = sigma * PerturbationSampler(factor, seed=42).sample(batch, 0)
 
         def smoothed(m):
             return np.exp(n_pow * f(m[None, :] + eps)).mean()
@@ -183,13 +183,13 @@ class TestCriterion2SmoothedGradientIdentity:
 class TestCriterion3LinearClosedForm:
     def test_mean_estimate_matches_gaussian_moment(self, report):
         factor = small_kernel_factor(5)
-        K_lam = factor.covariance()
+        K_lam = factor @ factor.T
         a = np.array([0.8, -0.4, 1.2, 0.0, 0.6])
         n_pow, sigma, batch = 2.0, 0.5, 1_000_000
         mu = np.array([0.1, 0.0, -0.2, 0.3, 0.0])
         cfg = NfgConfig(sigma=sigma, n_pow=n_pow, batch=batch, weight_mode="raw")
         estimate, _ = estimate_direction(
-            mu, lambda values: values @ a, PerturbationSampler(factor, seed=7), cfg
+            mu, lambda values: values @ a, PerturbationSampler(factor, seed=7), cfg, 0
         )
         growth = np.exp(n_pow * (a @ mu) + 0.5 * n_pow**2 * sigma**2 * (a @ K_lam @ a))
         expected = n_pow * growth * (K_lam @ a)
@@ -208,10 +208,11 @@ class TestCriterion4ConstantObjectiveNull:
             lambda values: np.full(values.shape[0], 0.3),
             PerturbationSampler(factor, seed=17),
             cfg,
+            0,
         )
         # constant scores make every weight 1, so the estimate is the mean
         # perturbation; its standard error comes from the same draw
-        eps = sigma * PerturbationSampler(factor, seed=17).sample(batch)
+        eps = sigma * PerturbationSampler(factor, seed=17).sample(batch, 0)
         se = np.linalg.norm(eps.std(axis=0, ddof=1) / (sigma**2 * np.sqrt(batch)))
         ratio = np.linalg.norm(estimate) / se
         report(4, "constant objective null estimate", ratio <= 5.0, f"|mean| = {ratio:.2f} standard errors")
@@ -222,9 +223,9 @@ class TestCriterion5PerturbationCovariance:
         grid = TimeGrid(0.1, 100.0)
         factor = factorize(kernel_matrix(grid, SEKernel(BENCH_VARIANCE, BENCH_LENGTH)), BENCH_REG)
         sigma, batch = 1.0, 50_000
-        eps = sigma * PerturbationSampler(factor, seed=23).sample(batch)
+        eps = sigma * PerturbationSampler(factor, seed=23).sample(batch, 0)
         empirical = eps.T @ eps / batch
-        target = sigma**2 * factor.covariance()
+        target = sigma**2 * (factor @ factor.T)
         worst = np.abs(empirical - target).max()
         tol = 5.0 * sigma**2 * BENCH_VARIANCE / np.sqrt(batch)
         report(5, "perturbation covariance fidelity", worst <= tol, f"max dev {worst:.2e} <= {tol:.2e}")
@@ -235,7 +236,7 @@ class TestCriterion6FactorReconstruction:
         grid = TimeGrid(1.0, 100.0)
         K = kernel_matrix(grid, SEKernel(BENCH_VARIANCE, BENCH_LENGTH))
         factor = factorize(K, BENCH_REG)
-        recon = factor.factor @ factor.factor.T
+        recon = factor @ factor.T
         worst = np.abs(recon - (K + BENCH_REG * np.eye(100))).max()
         tol = 1e-8 * (BENCH_VARIANCE + BENCH_REG)
         report(6, "covariance factor reconstruction", worst <= tol, f"max err {worst:.2e} <= {tol:.2e}")
@@ -248,7 +249,7 @@ class TestCriterion7ResamplingExactness:
 
         grid = TimeGrid(1.0, 100.0)
         factor = factorize(kernel_matrix(grid, SEKernel(BENCH_VARIANCE, BENCH_LENGTH)), BENCH_REG)
-        values = PerturbationSampler(factor, seed=31).sample(1)[0]
+        values = PerturbationSampler(factor, seed=31).sample(1, 0)[0]
         path = WaypointPath(values[:, None])
         round_trip = resample(path, grid.times(), grid)
         trip_ok = np.array_equal(round_trip.values[:, 0], values)

@@ -5,12 +5,12 @@ from nfgopt.baselines import (
     ChompConfig,
     MppiConfig,
     StompConfig,
+    _softmin_raw,
+    _stomp_raw,
     chomp_gradient,
     chomp_optimize,
     mppi_optimize,
-    softmin_weights,
     stomp_optimize,
-    stomp_weights,
     wiener_noise,
 )
 from nfgopt.environment import (
@@ -37,6 +37,16 @@ def bench_sampler(seed=0):
 
 def traj_1d(grid, values):
     return Trajectory(grid, np.asarray(values, dtype=float))
+
+
+def stomp_weights(costs, temperature):
+    raw = _stomp_raw(costs, temperature)
+    return raw / raw.sum()
+
+
+def softmin_weights(costs, temperature):
+    raw = _softmin_raw(costs, temperature)
+    return raw / raw.sum()
 
 
 class TestStompWeights:
@@ -82,7 +92,7 @@ class TestStompOptimize:
         sampler = bench_sampler(5)
         out, traces = stomp_optimize(y0, ENV, SCORE, cfg, sampler)
         # one reweighting update y + sum_s w_s eps_s with the start pinned
-        eps = sampler.with_stream(0).sample(20)
+        eps = sampler.sample(20, 0)
         scores = batch_scores(ENV, eps, y0.times(), GRID.dt, SCORE)
         expected = y0.values[:, 0] + stomp_weights(1.0 - scores, cfg.temperature) @ eps
         expected[0] = y0.values[0, 0]
@@ -265,17 +275,17 @@ class TestMppiPieces:
         assert w[1] > 0.999
 
     def test_wiener_noise_starts_at_zero(self):
-        eps = wiener_noise(bench_sampler(9), 50, 40, 0.3)
+        eps = wiener_noise(bench_sampler(9), 50, 40, 0.3, 0)
         assert eps.shape == (50, 40)
         np.testing.assert_array_equal(eps[:, 0], np.zeros(50))
 
     def test_wiener_noise_deterministic(self):
-        a = wiener_noise(bench_sampler(9), 8, 20, 0.3)
-        b = wiener_noise(bench_sampler(9), 8, 20, 0.3)
+        a = wiener_noise(bench_sampler(9), 8, 20, 0.3, 0)
+        b = wiener_noise(bench_sampler(9), 8, 20, 0.3, 0)
         np.testing.assert_array_equal(a, b)
 
     def test_wiener_variance_grows_linearly(self):
-        eps = wiener_noise(bench_sampler(10), 20000, 101, 1.0)
+        eps = wiener_noise(bench_sampler(10), 20000, 101, 1.0, 0)
         v25 = eps[:, 25].var()
         v100 = eps[:, 100].var()
         assert v25 == pytest.approx(25.0, rel=0.05)
@@ -306,7 +316,7 @@ class TestMppiOptimize:
         )
         sampler = bench_sampler(13)
         out, traces = mppi_optimize(y0, ENV, cfg, sampler)
-        eps = wiener_noise(sampler.with_stream(0), 8, 10, 0.2)
+        eps = wiener_noise(sampler, 8, 10, 0.2, 0)
         candidates = y0.values[:, 0][None, :] + eps
         pen = np.array(
             [penetration_profile(ENV, traj_1d(grid, c)) for c in candidates]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from nfgopt.baselines import ChompConfig, StompConfig
+from nfgopt.baselines import ChompConfig
 from nfgopt.bench import (
     MethodSpec,
     RunRecord,
@@ -20,11 +20,12 @@ from nfgopt.bench import (
     run_single,
     write_records_csv,
     write_summary_csv,
+    write_trace_csv,
 )
 from nfgopt.cli import main
 from nfgopt.environment import BoxObstacle, ScoreConfig, load_preset, penetration_profile
 from nfgopt.errors import ConfigError, DegeneratePathError, NonFiniteStepError
-from nfgopt.nfg import NfgConfig
+from nfgopt.nfg import IterationTrace
 from nfgopt.sampling import factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, Trajectory, read_trajectory_csv
 
@@ -61,16 +62,11 @@ class TestParseConfig:
         assert cfg.grid == TimeGrid(1.0, 100.0)
         assert cfg.kernel.variance == 0.29 and cfg.kernel.length_scale == 0.22
         assert cfg.reg == 1e-6 * 0.29
-        assert cfg.score == ScoreConfig(1e-4, 100.0)
+        assert cfg.score == ScoreConfig(1e-4)
         assert cfg.seeds == (0, 1, 2, 3, 4)
         assert cfg.output_dir == "results"
         assert len(cfg.environment.boxes) == 4
         assert cfg.methods == (MethodSpec("chomp", ChompConfig()),)
-
-    def test_nfg_n_pow_defaults_to_score(self):
-        cfg = parse_config({"methods": [{"name": "nfg"}, {"name": "stomp"}], "score": {"n_pow": 50.0}})
-        assert cfg.methods[0].config == NfgConfig(n_pow=50.0)
-        assert cfg.methods[1].config == StompConfig()
 
     def test_reg_scale(self):
         cfg = parse_config({"methods": [{"name": "chomp"}], "reg_scale": 1e-3})
@@ -102,6 +98,8 @@ class TestParseConfig:
             {"methods": [{"name": "chomp"}], "kernel": {"variance": -1.0}},
             {"methods": [{"name": "chomp"}], "environment": [{"t_lo": 0.0, "t_hi": 1.0, "lo": -1.0, "hi": 1.0}]},
             {"methods": [{"name": "chomp"}], "reg": 0.5},
+            {"methods": [{"name": "chomp"}], "seeds": [0, 0]},
+            {"methods": [{"name": "chomp"}], "score": {"n_pow": 100.0}},
         ],
     )
     def test_invalid(self, raw):
@@ -343,6 +341,11 @@ class TestRunRecord:
 
 
 FAILED_RUN = RunRecord("nfg", 1, False, 1.0, 2.0, None, 3)
+TRACE_ROW = IterationTrace(0, 0.5, 1.0, 2.0, False, 0.01)
+
+
+def write_nfg_trace_csv(path, traces):
+    write_trace_csv(path, traces, "nfg")
 
 
 class TestRecordsCsv:
@@ -361,6 +364,7 @@ class TestRecordsCsv:
         [
             (write_records_csv, FAILED_RUN, dataclasses.replace(FAILED_RUN, runtime="slow")),
             (write_summary_csv, aggregate([FAILED_RUN])[0], {**aggregate([FAILED_RUN])[0], "time_mean": "slow"}),
+            (write_nfg_trace_csv, TRACE_ROW, dataclasses.replace(TRACE_ROW, best_score="high")),
         ],
     )
     def test_failed_write_keeps_previous_file(self, tmp_path, write, good, bad):

@@ -1,4 +1,5 @@
-"""The README's Configuration section against the config parser."""
+"""The README against the code: its Configuration section against the
+config parser, and its Library example against the package."""
 
 import dataclasses
 import json
@@ -22,3 +23,12 @@ def test_readme_lists_every_config_key():
     example = re.search(r"```jsonc\n(.*?)```", text, flags=re.DOTALL).group(1)
     document = json.loads(re.sub(r"//[^\n]*", "", example))
     assert set(document) == set(CONFIG_FIELDS)
+
+
+def test_readme_library_snippet_runs():
+    text = README.read_text()
+    (snippet,) = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+    namespace = {}
+    exec(compile(snippet, f"{README}:Library", "exec"), namespace)
+    assert len(namespace["traces"]) == namespace["cfg"].iterations
+    assert namespace["eps"].shape == (8, namespace["grid"].steps)

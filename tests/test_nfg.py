@@ -89,14 +89,14 @@ class TestEstimateDirection:
     def test_matches_manual_formula(self):
         factor = factor_for(GRID5)
         cfg = NfgConfig(sigma=0.5, n_pow=2.0, batch=16)
-        sampler = PerturbationSampler(factor, seed=3, stream_id=0)
+        sampler = PerturbationSampler(factor, seed=3)
         mu = np.zeros(5)
 
         def objective(batch_values):
             return batch_values.sum(axis=1)
 
-        direction, stats = estimate_direction(mu, objective, sampler, cfg)
-        eps = 0.5 * PerturbationSampler(factor, seed=3, stream_id=0).sample(16)
+        direction, stats = estimate_direction(mu, objective, sampler, cfg, 0)
+        eps = 0.5 * PerturbationSampler(factor, seed=3).sample(16, 0)
         scores = eps.sum(axis=1)
         weights = np.exp(2.0 * (scores - scores.max()))
         expected = (weights @ eps) / (16 * 0.25)
@@ -110,9 +110,9 @@ class TestEstimateDirection:
         cfg = NfgConfig(sigma=1.0, n_pow=5.0, batch=3)
         sampler = PerturbationSampler(factor, seed=4)
         direction, _ = estimate_direction(
-            np.zeros(8), lambda v: -np.abs(v).sum(axis=1), sampler, cfg
+            np.zeros(8), lambda v: -np.abs(v).sum(axis=1), sampler, cfg, 0
         )
-        eps = PerturbationSampler(factor, seed=4).sample(3)
+        eps = PerturbationSampler(factor, seed=4).sample(3, 0)
         coeffs, residual, _, _ = np.linalg.lstsq(eps.T, direction, rcond=None)
         recon = eps.T @ coeffs
         np.testing.assert_allclose(recon, direction, atol=1e-12)
@@ -125,10 +125,10 @@ class TestEstimateDirection:
             return batch_values.mean(axis=1)
 
         d_raw, _ = estimate_direction(
-            np.zeros(5), objective, sampler, NfgConfig(sigma=0.5, n_pow=2.0, batch=32, weight_mode="raw")
+            np.zeros(5), objective, sampler, NfgConfig(sigma=0.5, n_pow=2.0, batch=32, weight_mode="raw"), 0
         )
         d_shift, _ = estimate_direction(
-            np.zeros(5), objective, sampler, NfgConfig(sigma=0.5, n_pow=2.0, batch=32, weight_mode="shifted")
+            np.zeros(5), objective, sampler, NfgConfig(sigma=0.5, n_pow=2.0, batch=32, weight_mode="shifted"), 0
         )
         cos = d_raw @ d_shift / (np.linalg.norm(d_raw) * np.linalg.norm(d_shift))
         assert cos == pytest.approx(1.0, abs=1e-12)
@@ -137,25 +137,25 @@ class TestEstimateDirection:
         factor = factor_for(GRID5)
         sampler = PerturbationSampler(factor, seed=1)
         with pytest.raises(ConfigError, match="covariance factor"):
-            estimate_direction(np.zeros(7), lambda v: v.sum(axis=1), sampler, NfgConfig(sigma=1.0))
+            estimate_direction(np.zeros(7), lambda v: v.sum(axis=1), sampler, NfgConfig(sigma=1.0), 0)
 
     def test_bad_objective_shape_rejected(self):
         factor = factor_for(GRID5)
         sampler = PerturbationSampler(factor, seed=1)
         with pytest.raises(ValueError, match="objective returned"):
-            estimate_direction(np.zeros(5), lambda v: v[:, 0:2], sampler, NfgConfig(sigma=1.0, batch=8))
+            estimate_direction(np.zeros(5), lambda v: v[:, 0:2], sampler, NfgConfig(sigma=1.0, batch=8), 0)
 
     def test_linear_objective_moment(self):
         # closed form for a linear score under Gaussian smoothing:
         # E[direction] = n * exp(n a.mu + n^2 s^2 a.K a / 2) * K a
         factor = factor_for(GRID5)
-        K = factor.covariance()
+        K = factor @ factor.T
         a = np.array([0.8, -0.4, 1.2, 0.0, 0.6])
         n_pow, sigma = 2.0, 0.5
         mu = np.array([0.1, 0.0, -0.2, 0.3, 0.0])
         cfg = NfgConfig(sigma=sigma, n_pow=n_pow, batch=200_000, weight_mode="raw")
         sampler = PerturbationSampler(factor, seed=21)
-        direction, _ = estimate_direction(mu, lambda v: v @ a, sampler, cfg)
+        direction, _ = estimate_direction(mu, lambda v: v @ a, sampler, cfg, 0)
         growth = np.exp(n_pow * (a @ mu) + 0.5 * n_pow**2 * sigma**2 * (a @ K @ a))
         expected = n_pow * growth * (K @ a)
         err = np.linalg.norm(direction - expected) / np.linalg.norm(expected)
@@ -236,7 +236,7 @@ class TestOptimizeBenchmark:
         grid = TimeGrid(1.0, 100.0)
         K = kernel_matrix(grid, SEKernel(0.29, 0.22))
         factor = factorize(K, 1e-6 * 0.29)
-        score_cfg = ScoreConfig(lambda_jerk=1e-4, n_pow=100.0)
+        score_cfg = ScoreConfig(lambda_jerk=1e-4)
         cfg = NfgConfig(sigma=1.0, n_pow=100.0, batch=100, iterations=100, step_size=0.4)
         successes = 0
         for seed in range(5):

@@ -41,27 +41,32 @@ class TestSEKernel:
 class TestFactorize:
     def test_zero_matrix_identity_factor(self):
         fac = factorize(np.zeros((4, 4)), 1.0)
-        np.testing.assert_array_equal(fac.factor, np.eye(4))
+        np.testing.assert_array_equal(fac, np.eye(4))
 
     def test_identity_sqrt_two(self):
         fac = factorize(np.eye(4), 1.0)
-        np.testing.assert_allclose(fac.factor, np.sqrt(2.0) * np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(fac, np.sqrt(2.0) * np.eye(4), atol=1e-15)
 
     def test_benchmark_reconstruction(self):
         grid = TimeGrid(1.0, 100.0)
         K = kernel_matrix(grid, BENCH_KERNEL)
         reg = 1e-6 * BENCH_KERNEL.variance
         fac = factorize(K, reg)
-        err = np.abs(fac.covariance() - (K + reg * np.eye(100))).max()
+        err = np.abs(fac @ fac.T - (K + reg * np.eye(100))).max()
         assert err <= 1e-8 * (BENCH_KERNEL.variance + reg)
 
     def test_positive_diagonal(self):
         fac = bench_factor()
-        assert np.all(np.diag(fac.factor) > 0.0)
+        assert np.all(np.diag(fac) > 0.0)
 
     def test_lower_triangular(self):
         fac = bench_factor()
-        np.testing.assert_array_equal(fac.factor, np.tril(fac.factor))
+        np.testing.assert_array_equal(fac, np.tril(fac))
+
+    def test_read_only(self):
+        fac = bench_factor()
+        with pytest.raises(ValueError, match="read-only"):
+            fac[0, 0] = 1.0
 
     def test_regularized_eigenvalues_bounded_below(self):
         grid = TimeGrid(10.0, 1.0)
@@ -88,33 +93,33 @@ class TestFactorize:
 
 class TestPerturbationSampler:
     def test_same_stream_identical(self):
-        sampler = PerturbationSampler(bench_factor(), seed=5, stream_id=3)
-        np.testing.assert_array_equal(sampler.sample(16), sampler.sample(16))
+        sampler = PerturbationSampler(bench_factor(), seed=5)
+        np.testing.assert_array_equal(sampler.sample(16, 3), sampler.sample(16, 3))
 
     def test_streams_differ(self):
         sampler = PerturbationSampler(bench_factor(), seed=5)
-        a = sampler.with_stream(0).sample(4)
-        b = sampler.with_stream(1).sample(4)
+        a = sampler.sample(4, 0)
+        b = sampler.sample(4, 1)
         assert not np.array_equal(a, b)
 
     def test_seeds_differ(self):
         fac = bench_factor()
-        a = PerturbationSampler(fac, seed=5).sample(4)
-        b = PerturbationSampler(fac, seed=6).sample(4)
+        a = PerturbationSampler(fac, seed=5).sample(4, 0)
+        b = PerturbationSampler(fac, seed=6).sample(4, 0)
         assert not np.array_equal(a, b)
 
     def test_partition_concatenates_to_serial(self):
         # draw index alone fixes each sample, so prefixes always agree
-        sampler = PerturbationSampler(bench_factor(), seed=11, stream_id=2)
-        whole = sampler.sample(12)
-        np.testing.assert_array_equal(whole[:5], sampler.sample(5))
-        np.testing.assert_array_equal(whole[:9], sampler.sample(9))
+        sampler = PerturbationSampler(bench_factor(), seed=11)
+        whole = sampler.sample(12, 2)
+        np.testing.assert_array_equal(whole[:5], sampler.sample(5, 2))
+        np.testing.assert_array_equal(whole[:9], sampler.sample(9, 2))
 
     def test_sample_is_factor_times_normals(self):
         fac = bench_factor()
-        sampler = PerturbationSampler(fac, seed=3, stream_id=1)
-        z = sampler.normals(6, fac.size)
-        np.testing.assert_array_equal(sampler.sample(6), z @ fac.factor.T)
+        sampler = PerturbationSampler(fac, seed=3)
+        z = sampler.normals(6, fac.shape[0], 1)
+        np.testing.assert_array_equal(sampler.sample(6, 1), z @ fac.T)
 
     def test_empirical_covariance(self):
         # 50k draws at m=10: entrywise tolerance 5 g^2 / sqrt(B)
@@ -123,7 +128,7 @@ class TestPerturbationSampler:
         reg = 1e-6 * BENCH_KERNEL.variance
         fac = factorize(K, reg)
         draws = 50_000
-        eps = PerturbationSampler(fac, seed=21).sample(draws)
+        eps = PerturbationSampler(fac, seed=21).sample(draws, 0)
         empirical = (eps.T @ eps) / draws
         target = K + reg * np.eye(10)
         tol = 5.0 * BENCH_KERNEL.variance / np.sqrt(draws)
@@ -137,8 +142,8 @@ class TestPerturbationSampler:
         np.testing.assert_allclose(K4, 4.0 * K, rtol=1e-15)
         fac = factorize(K, 1e-6 * 0.29)
         fac4 = factorize(4.0 * K, 4.0 * 1e-6 * 0.29)
-        a = PerturbationSampler(fac, seed=2).sample(10)
-        b = PerturbationSampler(fac4, seed=2).sample(10)
+        a = PerturbationSampler(fac, seed=2).sample(10, 0)
+        b = PerturbationSampler(fac4, seed=2).sample(10, 0)
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -149,4 +154,4 @@ class TestPerturbationSampler:
     def test_count_validation(self):
         sampler = PerturbationSampler(bench_factor(), seed=0)
         with pytest.raises(ConfigError):
-            sampler.sample(0)
+            sampler.sample(0, 0)
