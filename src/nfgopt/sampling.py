@@ -8,7 +8,8 @@ drawn from the kernel's function space; an optimizer scales them by the
 ``sigma`` of its own config. Randomness is counter-based: draw ``s`` of
 substream ``stream`` is generated by a Philox engine keyed on
 ``(seed, stream)`` with its counter set to ``s``, which makes each draw a
-pure function of ``(seed, stream, s)``. The optimizers use iteration k's
+pure function of ``(seed, stream, s)``. One engine serves each call; its
+counter is reset before every row. The optimizers use iteration k's
 substream for iteration k. Any partition of a batch across workers
 concatenates to the single-threaded result.
 """
@@ -94,21 +95,29 @@ class PerturbationSampler:
     def normals(self, count: int, width: int, stream: int) -> np.ndarray:
         """Raw standard-normal block of shape (count, width).
 
-        Draw ``s`` comes from a Philox engine keyed on (seed, stream) with
-        counter ``s``, independent of evaluation order or batching. This is
-        the i.i.d. source underlying :meth:`sample`; consumers that need
-        unsmoothed noise (Wiener-process rollouts) use it directly.
+        One Philox engine keyed on (seed, stream) serves the whole call:
+        before row ``s`` its counter is reset to ``s`` (which also empties
+        its output buffer), so each row is the same as a fresh engine with
+        counter ``s`` would draw, independent of evaluation order or
+        batching. This is the i.i.d. source underlying :meth:`sample`;
+        consumers that need unsmoothed noise (Wiener-process rollouts) use
+        it directly.
         """
         if count < 1:
             raise ConfigError(f"count must be at least 1, got {count}")
+        if width < 1:
+            raise ConfigError(f"width must be at least 1, got {width}")
         if not (0 <= stream <= _UINT64_MAX):
             raise ConfigError(f"stream must fit in 64 bits, got {stream}")
-        key = np.array([self.seed, stream], dtype=np.uint64)
+        bitgen = Philox(key=np.array([self.seed, stream], dtype=np.uint64))
+        gen = Generator(bitgen)
+        state = bitgen.state
+        counter = state["state"]["counter"]
         out = np.empty((count, width))
-        counter = np.zeros(4, dtype=np.uint64)
         for s in range(count):
             counter[2] = s
-            out[s] = Generator(Philox(counter=counter, key=key)).standard_normal(width)
+            bitgen.state = state
+            gen.standard_normal(out=out[s])
         return out
 
     def sample(self, count: int, stream: int) -> np.ndarray:

@@ -6,6 +6,7 @@ to the terminal (bypassing capture) before asserting, so a plain
 pins the packaged benchmark's records themselves.
 """
 
+import re
 import time
 from pathlib import Path
 
@@ -18,9 +19,11 @@ from nfgopt import (
     SEKernel,
     TimeGrid,
     WaypointPath,
+    aggregate,
     arc_length_times,
     estimate_direction,
     factorize,
+    format_summary,
     kernel_matrix,
     load_config,
     optimize_objective,
@@ -28,7 +31,8 @@ from nfgopt import (
     run_benchmark,
 )
 
-CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "narrow_passage.json"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_PATH = ROOT / "configs" / "narrow_passage.json"
 
 BENCH_VARIANCE = 0.29
 BENCH_LENGTH = 0.22
@@ -143,6 +147,21 @@ class TestGoldenRecords:
                 assert record.avg_jerk is None, record
             else:
                 assert record.avg_jerk == pytest.approx(jerk, rel=1e-9, abs=0.0), record
+
+
+class TestReadmeQuickStartTable:
+    def test_table_matches_packaged_run_except_time(self, full_benchmark):
+        _, records, _, _ = full_benchmark
+        quick_start = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
+        table = re.search(r"```\n(method .*?)```", quick_start, flags=re.DOTALL).group(1)
+
+        def cells(text):
+            # columns are separated by at least two spaces; cell 2 is time (s)
+            rows = [re.split(r"\s{2,}", line.strip()) for line in text.strip().splitlines()]
+            assert all(len(row) == 5 for row in rows), rows
+            return [row[:2] + row[3:] for row in rows]
+
+        assert cells(table) == cells(format_summary(aggregate(records)))
 
 
 class TestCriterion2SmoothedGradientIdentity:
