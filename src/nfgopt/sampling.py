@@ -5,13 +5,13 @@ Gaussian perturbation sampling.
 ``L L^T = K + reg*I``. The sampler draws unit-scale perturbations
 ``L @ z`` with ``z ~ N(0, I_m)``, so every sample is a smooth function
 drawn from the kernel's function space; an optimizer scales them by the
-``sigma`` of its own config. Randomness is counter-based: draw ``s`` of
-substream ``stream`` is generated by a Philox engine keyed on
-``(seed, stream)`` with its counter set to ``s``, which makes each draw a
-pure function of ``(seed, stream, s)``. One engine serves each call; its
-counter is reset before every row. The optimizers use iteration k's
-substream for iteration k. Any partition of a batch across workers
-concatenates to the single-threaded result.
+``sigma`` of its own config. Randomness is counter-based: substream
+``stream`` is a Philox engine keyed on ``(seed, stream)``, and a batch of
+``count`` rows is one ``standard_normal((count, width))`` draw from it,
+filled row by row. A batch is thus a pure function of
+``(seed, stream, count, width)``, and a smaller batch of the same width
+is a prefix of a larger one. The optimizers use iteration k's substream
+for iteration k.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ def factorize(K: np.ndarray, reg: float) -> np.ndarray:
 class PerturbationSampler:
     """Deterministic source of unit-scale smooth perturbations L @ z.
 
-    ``stream`` partitions the seed into independent substreams; within a
-    substream, draw ``s`` is fixed by its index alone. Two calls with the
-    same stream return identical output; the sampler holds no mutable
-    state.
+    ``stream`` partitions the seed into independent substreams, each read
+    from its start by every call. Two calls with the same stream return
+    identical output, and a call for fewer rows returns a prefix of a call
+    for more; the sampler holds no mutable state.
     """
 
     factor: np.ndarray
@@ -95,13 +95,11 @@ class PerturbationSampler:
     def normals(self, count: int, width: int, stream: int) -> np.ndarray:
         """Raw standard-normal block of shape (count, width).
 
-        One Philox engine keyed on (seed, stream) serves the whole call:
-        before row ``s`` its counter is reset to ``s`` (which also empties
-        its output buffer), so each row is the same as a fresh engine with
-        counter ``s`` would draw, independent of evaluation order or
-        batching. This is the i.i.d. source underlying :meth:`sample`;
-        consumers that need unsmoothed noise (Wiener-process rollouts) use
-        it directly.
+        One ``standard_normal((count, width))`` call on a fresh Philox
+        engine keyed on (seed, stream), so row ``s`` holds the stream's
+        draws ``s*width`` to ``(s+1)*width - 1``. This is the i.i.d. source
+        underlying :meth:`sample`; consumers that need unsmoothed noise
+        (Wiener-process rollouts) use it directly.
         """
         if count < 1:
             raise ConfigError(f"count must be at least 1, got {count}")
@@ -109,16 +107,8 @@ class PerturbationSampler:
             raise ConfigError(f"width must be at least 1, got {width}")
         if not (0 <= stream <= _UINT64_MAX):
             raise ConfigError(f"stream must fit in 64 bits, got {stream}")
-        bitgen = Philox(key=np.array([self.seed, stream], dtype=np.uint64))
-        gen = Generator(bitgen)
-        state = bitgen.state
-        counter = state["state"]["counter"]
-        out = np.empty((count, width))
-        for s in range(count):
-            counter[2] = s
-            bitgen.state = state
-            gen.standard_normal(out=out[s])
-        return out
+        key = np.array([self.seed, stream], dtype=np.uint64)
+        return Generator(Philox(key=key)).standard_normal((count, width))
 
     def sample(self, count: int, stream: int) -> np.ndarray:
         """Draw ``count`` unit-scale smooth perturbations, shape (count, m)."""

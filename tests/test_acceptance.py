@@ -111,26 +111,26 @@ class TestCriterion1BenchmarkOrdering:
 # avg_jerk, iterations_used). A change to any of them changes what the
 # benchmark reports and has to be deliberate.
 GOLDEN_RECORDS = [
-    ("nfg", 0, True, 9.659085585606077, 1896.0650707984396, 100),
-    ("nfg", 1, True, 9.730122692903551, 4542.357510860333, 100),
-    ("nfg", 2, True, 10.496664053581197, 9489.806684079615, 100),
-    ("nfg", 3, True, 9.70106405004015, 1906.9162769303548, 100),
-    ("nfg", 4, True, 10.225664685687429, 11659.250307882605, 100),
-    ("stomp", 0, False, 9.51958260168796, None, 100),
-    ("stomp", 1, True, 9.098541356698984, 19541.24026530239, 100),
-    ("stomp", 2, False, 8.554986264044391, None, 100),
-    ("stomp", 3, False, 8.61467558501195, None, 100),
-    ("stomp", 4, False, 8.08798452818541, None, 100),
+    ("nfg", 0, True, 10.13431063005879, 7629.066180196642, 100),
+    ("nfg", 1, True, 9.851583929370719, 8676.384632290752, 100),
+    ("nfg", 2, True, 9.199446929994673, 9453.982236634036, 100),
+    ("nfg", 3, True, 10.177933832244596, 5333.837344682536, 100),
+    ("nfg", 4, True, 9.033332480397672, 12186.055317214865, 100),
+    ("stomp", 0, False, 9.625748919763446, None, 100),
+    ("stomp", 1, False, 9.930000440039878, None, 100),
+    ("stomp", 2, False, 12.984061892980002, None, 100),
+    ("stomp", 3, True, 10.00858129472325, 10987.518618532562, 100),
+    ("stomp", 4, False, 7.895325427180571, None, 100),
     ("chomp", 0, False, 4.000000000000002, None, 100),
     ("chomp", 1, False, 4.000000000000002, None, 100),
     ("chomp", 2, False, 4.000000000000002, None, 100),
     ("chomp", 3, False, 4.000000000000002, None, 100),
     ("chomp", 4, False, 4.000000000000002, None, 100),
-    ("mppi", 0, True, 22.435361363314716, 569912.5540952261, 100),
-    ("mppi", 1, False, 23.562997708541733, None, 100),
-    ("mppi", 2, True, 20.967400747994688, 523770.7646667436, 100),
-    ("mppi", 3, False, 22.22977538888152, None, 100),
-    ("mppi", 4, True, 25.20392540794012, 664540.5336017621, 100),
+    ("mppi", 0, False, 25.602110855176264, None, 100),
+    ("mppi", 1, False, 24.488731418181512, None, 100),
+    ("mppi", 2, True, 24.00032324368705, 566760.8840278904, 100),
+    ("mppi", 3, False, 27.566064308108544, None, 100),
+    ("mppi", 4, False, 24.075806467856193, None, 100),
 ]
 
 
