@@ -34,10 +34,10 @@ _DELTA = 1e-12
 
 def _collision_free(env: BoxEnvironment, times: np.ndarray):
     """Feasibility rule of the baselines: no grid point penetrates a box."""
-    boxes = env.as_array()
+    table = env.box_table(times)
 
     def feasible(values: np.ndarray) -> bool:
-        profile = _kernels.penetration_profile_batch(values[None, :], times, boxes)[0]
+        profile = _kernels.penetration_profile_batch(values[None, :], table)[0]
         return bool((profile == 0.0).all())
 
     return feasible
@@ -183,7 +183,7 @@ def chomp_gradient(
     """
     values = _values_1d(y)
     times = y.times()
-    profile = _kernels.penetration_profile_batch(values[None, :], times, env.as_array())[0]
+    profile = _kernels.penetration_profile_batch(values[None, :], env.box_table(times))[0]
     m = values.shape[0]
     if (profile < 0.0).any():
         deepest, region = _deepest_region(profile)
@@ -307,14 +307,14 @@ def mppi_optimize(
     """
     values0 = _values_1d(y0)
     times = y0.times()
-    boxes = env.as_array()
+    table = env.box_table(times)
     scale = cfg.resolved_noise_scale(y0.grid.dt)
     m = values0.shape[0]
 
     def rollout(values: np.ndarray, k: int) -> _Step:
         eps = wiener_noise(sampler, cfg.rollouts, m, scale, k)
         candidates = values[None, :] + eps
-        pen = _kernels.penetration_profile_batch(candidates, times, boxes)
+        pen = _kernels.penetration_profile_batch(candidates, table)
         costs = cfg.weight_obs * (-pen).sum(axis=1) + cfg.weight_goal * (
             (candidates - cfg.goal) ** 2
         ).sum(axis=1)

@@ -44,12 +44,29 @@ class BoxEnvironment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boxes", tuple(self.boxes))
+        # Box tables by the bytes of their grid times; not a field, so
+        # equality, hashing and repr see only the boxes.
+        object.__setattr__(self, "_tables", {})
+
+    def __reduce__(self):
+        # Pickle the boxes alone: a worker process builds its own tables.
+        return BoxEnvironment, (self.boxes,)
 
     def as_array(self) -> np.ndarray:
         """Boxes as an (n, 4) array with columns t_lo, t_hi, y_lo, y_hi."""
         return np.array(
             [[b.t_lo, b.t_hi, b.y_lo, b.y_hi] for b in self.boxes], dtype=np.float64
         ).reshape(len(self.boxes), 4)
+
+    def box_table(self, times: np.ndarray) -> _kernels.BoxTable:
+        """The boxes over grid ``times`` as the scoring kernels read them,
+        built on the first call for that grid and reused after."""
+        times = np.asarray(times, dtype=np.float64)
+        key = times.tobytes()
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _kernels.box_table(times, self.as_array())
+        return table
 
 
 def narrow_passage_v1() -> BoxEnvironment:
@@ -109,7 +126,7 @@ def penetration_step(env: BoxEnvironment, t: float, y: float) -> float:
 def penetration_profile(env: BoxEnvironment, traj: Trajectory) -> np.ndarray:
     """Per-grid-point penetration values for a 1-D trajectory, shape (steps,)."""
     values = _require_1d(traj)
-    return _kernels.penetration_profile_batch(values[None, :], traj.times(), env.as_array())[0]
+    return _kernels.penetration_profile_batch(values[None, :], env.box_table(traj.times()))[0]
 
 
 def batch_scores(
@@ -129,7 +146,9 @@ def batch_scores(
         raise ValueError(f"values must be 2-D (batch, steps), got shape {values.shape}")
     if values.shape[1] < 4:
         raise ValueError(f"scoring needs at least 4 grid points, got {values.shape[1]}")
-    return _kernels.batch_scores(values, times, env.as_array(), cfg.lambda_jerk, dt)
+    if np.shape(times) != values.shape[1:]:
+        raise ValueError(f"need one time per grid point, got {np.shape(times)} for {values.shape[1]} points")
+    return _kernels.batch_scores(values, env.box_table(times), cfg.lambda_jerk, dt)
 
 
 def trajectory_score(env: BoxEnvironment, traj: Trajectory, cfg: ScoreConfig) -> float:

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 import nfgopt._kernels as _kernels
-from nfgopt.bench import parse_config
+from nfgopt.bench import METHODS, parse_config, run_single
 from nfgopt.environment import (
     BoxEnvironment,
     BoxObstacle,
@@ -15,6 +18,8 @@ from nfgopt.environment import (
     trajectory_score,
 )
 from nfgopt.errors import ConfigError
+from nfgopt.nfg import NfgConfig, optimize
+from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, Trajectory, average_abs_jerk
 
 GRID = TimeGrid(1.0, 100.0)
@@ -172,5 +177,104 @@ class TestScoreConfig:
 class TestBackends:
     def test_empty_environment_batch(self):
         values = np.zeros((4, 100))
-        out = _kernels.batch_scores(values, GRID.times(), np.zeros((0, 4)), 1e-4, GRID.dt)
+        table = _kernels.box_table(GRID.times(), np.zeros((0, 4)))
+        out = _kernels.batch_scores(values, table, 1e-4, GRID.dt)
         np.testing.assert_array_equal(out, np.ones(4))
+
+
+def per_box_profile(values, times, boxes):
+    """Reference penetration profile: one closed-mask pass per box."""
+    s = np.zeros_like(values)
+    for t_lo, t_hi, y_lo, y_hi in boxes:
+        in_t = (times >= t_lo) & (times <= t_hi)
+        inside = in_t[None, :] & (values >= y_lo) & (values <= y_hi)
+        depth = np.minimum(values - y_lo, y_hi - values)
+        s = np.where(inside, np.minimum(s, -depth), s)
+    return s
+
+
+class TestBoxTable:
+    ENVIRONMENTS = {
+        "narrow-passage": ENV,
+        "empty": BoxEnvironment(()),
+        "overlapping": BoxEnvironment(
+            (
+                BoxObstacle(0.0, 0.5, -1.0, 1.0),
+                BoxObstacle(0.3, 0.7, 0.0, 2.0),  # overlaps the first in t and y
+                BoxObstacle(0.3, 0.7, -0.5, 0.5),  # same columns, nested in y
+                BoxObstacle(0.9, 0.99, -3.0, -1.0),  # ends on the last column
+                BoxObstacle(0.123, 0.127, -9.0, 9.0),  # between grid columns
+                BoxObstacle(1.5, 2.0, -9.0, 9.0),  # after the grid
+            )
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_profile_equals_per_box_masks(self, name, batch):
+        env = self.ENVIRONMENTS[name]
+        times = GRID.times()
+        rng = np.random.default_rng(batch)
+        values = rng.normal(scale=2.0, size=(batch, 100))
+        faces = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
+        on_face = rng.random(values.shape) < 0.2
+        values[on_face] = rng.choice(faces, size=on_face.sum())
+        special = rng.random(values.shape) < 0.1
+        values[special] = rng.choice([np.nan, np.inf, -np.inf], size=special.sum())
+        with np.errstate(all="raise"):
+            profile = _kernels.penetration_profile_batch(values, env.box_table(times))
+        np.testing.assert_array_equal(profile, per_box_profile(values, times, env.as_array()))
+        assert (profile < 0.0).any() == (name != "empty")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Grid lengths of the box tables built during the test."""
+        built = []
+        build = _kernels.box_table
+
+        def counted(times, boxes):
+            built.append(len(times))
+            return build(times, boxes)
+
+        monkeypatch.setattr(_kernels, "box_table", counted)
+        return built
+
+    def test_table_built_once_per_grid(self, builds):
+        env = narrow_passage_v1()
+        for _ in range(3):
+            env.box_table(GRID.times())
+        env.box_table(TimeGrid(1.0, 50.0).times())
+        assert builds == [100, 50]
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_one_run_single_builds_one_table(self, method, builds):
+        cfg = parse_config(
+            {
+                "environment": "narrow-passage-v1",
+                "grid": {"horizon_seconds": 1.0, "rate_hz": 100.0},
+                "methods": [{"name": method, "iterations": 3}],
+            }
+        )
+        factor = factorize(kernel_matrix(cfg.grid, cfg.kernel), cfg.reg)
+        run_single(cfg.methods[0], 0, cfg, factor, None)
+        assert builds == [100]
+
+    def test_one_optimize_builds_one_table(self, builds):
+        sampler = PerturbationSampler(factorize(kernel_matrix(GRID, SEKernel(0.29, 0.1)), 1e-6), 0)
+        mu0 = Trajectory(GRID, np.zeros((100, 1)))
+        optimize(mu0, narrow_passage_v1(), SCORE, sampler, NfgConfig(sigma=1.0, iterations=3))
+        assert builds == [100]
+
+    def test_memo_leaves_equality_repr_and_pickle_unchanged(self):
+        fresh, used = narrow_passage_v1(), narrow_passage_v1()
+        pickled = pickle.dumps(used)
+        used.box_table(GRID.times())
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickled
+        assert pickle.loads(pickled) == used
+        assert copy.deepcopy(used) == used
+
+    def test_scores_need_one_time_per_grid_point(self):
+        with pytest.raises(ValueError, match="one time per grid point"):
+            batch_scores(ENV, np.zeros((2, 100)), GRID.times()[:-1], GRID.dt, SCORE)
