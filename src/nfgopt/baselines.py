@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .environment import BoxEnvironment, ScoreConfig, batch_scores, trajectory_score
 from .errors import ConfigError
-from .nfg import IterationTrace, _iterate, _Step, _values_1d
+from .nfg import IterationTrace, _iterate, _Step
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
 
@@ -97,7 +97,7 @@ def stomp_optimize(
     sampler: PerturbationSampler,
 ) -> tuple[Trajectory, list[IterationTrace]]:
     """Reweighting updates y + sum_s w_s eps_s with the start pinned."""
-    values0 = _values_1d(y0)
+    values0 = y0.values[:, 0]
     times = y0.times()
     dt = y0.grid.dt
 
@@ -181,7 +181,7 @@ def chomp_gradient(
     the adjoint of the third-difference stencil. The only randomness is the
     tie-break at an exact midpoint.
     """
-    values = _values_1d(y)
+    values = y.values[:, 0]
     times = y.times()
     profile = _kernels.penetration_profile_batch(values[None, :], env.box_table(times))[0]
     m = values.shape[0]
@@ -215,7 +215,7 @@ def chomp_optimize(
 ) -> tuple[Trajectory, list[IterationTrace]]:
     """Fixed-size steps along :func:`chomp_gradient`, the deterministic
     update rule; ``rng`` only breaks midpoint ties."""
-    values0 = _values_1d(y0)
+    values0 = y0.values[:, 0]
 
     def descend(values: np.ndarray, k: int) -> _Step:
         current = Trajectory(y0.grid, values)
@@ -305,7 +305,7 @@ def mppi_optimize(
     perturbation. The trace's ``best_score`` column holds the negated
     minimum rollout cost.
     """
-    values0 = _values_1d(y0)
+    values0 = y0.values[:, 0]
     times = y0.times()
     table = env.box_table(times)
     scale = cfg.resolved_noise_scale(y0.grid.dt)

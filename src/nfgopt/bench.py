@@ -450,6 +450,8 @@ def read_records_csv(path: str) -> list[RunRecord]:
     for i, row in enumerate(rows[1:]):
         if len(row) != len(RECORD_FIELDS):
             raise ConfigError(f"{path}: row {i + 1} has {len(row)} fields, expected {len(RECORD_FIELDS)}")
+        if row[2] not in ("true", "false"):
+            raise ConfigError(f"{path}: row {i + 1}: success must be true or false, got {row[2]!r}")
         try:
             records.append(
                 RunRecord(
@@ -534,31 +536,21 @@ def evaluate_external(
     env: BoxEnvironment,
     grid: TimeGrid,
     score_cfg: ScoreConfig | None = None,
-    angular_dims: tuple[int, ...] = (),
+    angular: bool = False,
 ) -> ExternalEvaluation:
     """Score a waypoint file exactly like an internally optimized run.
 
-    Pipeline: unwrap flagged angular dimensions, drop duplicate waypoints,
-    assign arc-length-proportional timestamps over the grid horizon,
-    linearly resample onto the grid, then validate penetration at every
-    grid point. Parse failures and degenerate paths raise ConfigError or
-    DegeneratePathError.
+    Pipeline: load one value per row (a file with more columns is rejected
+    here), unwrap the values as angles when ``angular`` is set, drop
+    duplicate waypoints, assign arc-length-proportional timestamps over the
+    grid horizon, linearly resample onto the grid, then validate
+    penetration at every grid point. Parse failures and degenerate paths
+    raise ConfigError or DegeneratePathError.
     """
     score_cfg = score_cfg or ScoreConfig()
-    waypoints = load_waypoints(path_file)
-    dims = waypoints.shape[1]
-    bad = [d for d in angular_dims if not 0 <= d < dims]
-    if bad:
-        raise ConfigError(f"angular dims {bad} out of range for {dims}-dimensional waypoints")
-    angular = tuple(d in angular_dims for d in range(dims)) if angular_dims else None
-    path = WaypointPath(waypoints, angular)
-    path = unwrap_angles(path).dedupe()
+    path = unwrap_angles(WaypointPath(load_waypoints(path_file), angular)).dedupe()
     timestamps = arc_length_times(path, grid.horizon_seconds)
     traj = resample(path, timestamps, grid)
-    if traj.dims != 1:
-        raise ConfigError(
-            f"box environments score 1-D trajectories, waypoint file has {traj.dims} dimensions"
-        )
     profile = penetration_profile(env, traj)
     colliding = np.flatnonzero(profile < 0.0)
     success = colliding.size == 0

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``bench run --config cfg.json [--out DIR] [--parallel N]``
-* ``bench evaluate --path waypoints.csv --env PRESET --horizon S --rate HZ``
+* ``bench evaluate --path waypoints.csv --env PRESET --horizon S --rate HZ [--angular]``
 * ``bench summarize --records records.csv``
 
 Exit codes: 0 on completion, 2 on configuration or input errors, 3 when a
@@ -38,15 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--parallel", type=int, default=1, help="worker processes (default 1)")
 
     eval_p = sub.add_parser("evaluate", help="score an external waypoint CSV")
-    eval_p.add_argument("--path", required=True, help="waypoint CSV, one configuration per row")
+    eval_p.add_argument("--path", required=True, help="waypoint CSV, one value per row")
     eval_p.add_argument("--env", required=True, help="environment preset name")
     eval_p.add_argument("--horizon", type=float, required=True, help="duration in seconds")
     eval_p.add_argument("--rate", type=float, required=True, help="grid rate in Hz")
-    eval_p.add_argument(
-        "--angular-dims",
-        default="",
-        help="comma-separated dimension indices to unwrap as angles (default none)",
-    )
+    eval_p.add_argument("--angular", action="store_true", help="unwrap the values as angles (radians)")
 
     sum_p = sub.add_parser("summarize", help="aggregate a records.csv into a summary table")
     sum_p.add_argument("--records", required=True, help="records.csv from a previous run")
@@ -65,22 +61,10 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_angular(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--angular-dims must be comma-separated integers: {exc}") from exc
-
-
 def _cmd_evaluate(args) -> int:
     env = load_preset(args.env)
     grid = TimeGrid(args.horizon, args.rate)
-    result = bench_mod.evaluate_external(
-        args.path, env, grid, ScoreConfig(), angular_dims=_parse_angular(args.angular_dims)
-    )
+    result = bench_mod.evaluate_external(args.path, env, grid, ScoreConfig(), angular=args.angular)
     print(f"source:       {result.source}")
     print(f"success:      {'true' if result.success else 'false'}")
     print(f"score:        {result.score:.6g}")

@@ -124,9 +124,8 @@ def penetration_step(env: BoxEnvironment, t: float, y: float) -> float:
 
 
 def penetration_profile(env: BoxEnvironment, traj: Trajectory) -> np.ndarray:
-    """Per-grid-point penetration values for a 1-D trajectory, shape (steps,)."""
-    values = _require_1d(traj)
-    return _kernels.penetration_profile_batch(values[None, :], env.box_table(traj.times()))[0]
+    """Per-grid-point penetration values of a trajectory, shape (steps,)."""
+    return _kernels.penetration_profile_batch(traj.values.T, env.box_table(traj.times()))[0]
 
 
 def batch_scores(
@@ -152,14 +151,5 @@ def batch_scores(
 
 
 def trajectory_score(env: BoxEnvironment, traj: Trajectory, cfg: ScoreConfig) -> float:
-    """Score a single 1-D trajectory. See :func:`batch_scores`."""
-    values = _require_1d(traj)
-    return float(
-        batch_scores(env, values[None, :], traj.times(), traj.grid.dt, cfg)[0]
-    )
-
-
-def _require_1d(traj: Trajectory) -> np.ndarray:
-    if traj.dims != 1:
-        raise ValueError(f"box environments score 1-D trajectories, got dims={traj.dims}")
-    return traj.values[:, 0]
+    """Score a single trajectory. See :func:`batch_scores`."""
+    return float(batch_scores(env, traj.values.T, traj.times(), traj.grid.dt, cfg)[0])

@@ -176,14 +176,6 @@ def estimate_direction(
     return direction, stats
 
 
-def _values_1d(traj: Trajectory) -> np.ndarray:
-    """The single value column of a 1-D trajectory; box environments
-    optimize nothing else."""
-    if traj.dims != 1:
-        raise ConfigError(f"box environments need 1-D trajectories, got dims={traj.dims}")
-    return traj.values[:, 0]
-
-
 def _iterate(
     values0: np.ndarray,
     iterations: int,
@@ -265,13 +257,13 @@ def optimize(
     sampler: PerturbationSampler,
     cfg: NfgConfig,
 ) -> tuple[Trajectory, list[IterationTrace]]:
-    """Optimize a 1-D trajectory against a box environment.
+    """Optimize a trajectory against a box environment.
 
     Returns the final mean trajectory and one trace row per completed
     iteration. The trace's ``feasible`` flag reports whether the mean was
     collision-free when the iteration started.
     """
-    values0 = _values_1d(mu0)
+    values0 = mu0.values[:, 0]
     times = mu0.times()
     dt = mu0.grid.dt
 

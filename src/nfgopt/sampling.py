@@ -26,6 +26,15 @@ from .errors import ConfigError
 _UINT64_MAX = 2**64 - 1
 
 
+def _check_uint64(value, name: str) -> None:
+    """Reject anything but a Python or numpy integer (not a bool) in
+    [0, 2**64): Philox would silently truncate a float key."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not (0 <= value <= _UINT64_MAX):
+        raise ConfigError(f"{name} must fit in 64 bits, got {value}")
+
+
 @dataclass(frozen=True)
 class SEKernel:
     """Squared-exponential kernel k(x, x') = variance * exp(-|x-x'|^2 / (2 l^2))."""
@@ -89,8 +98,7 @@ class PerturbationSampler:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.seed <= _UINT64_MAX):
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        _check_uint64(self.seed, "seed")
 
     def normals(self, count: int, width: int, stream: int) -> np.ndarray:
         """Raw standard-normal block of shape (count, width).
@@ -105,8 +113,7 @@ class PerturbationSampler:
             raise ConfigError(f"count must be at least 1, got {count}")
         if width < 1:
             raise ConfigError(f"width must be at least 1, got {width}")
-        if not (0 <= stream <= _UINT64_MAX):
-            raise ConfigError(f"stream must fit in 64 bits, got {stream}")
+        _check_uint64(stream, "stream")
         key = np.array([self.seed, stream], dtype=np.uint64)
         return Generator(Philox(key=key)).standard_normal((count, width))
 

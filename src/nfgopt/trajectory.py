@@ -1,13 +1,15 @@
 """Trajectory and time-grid types plus the waypoint resampling pipeline.
 
-A :class:`Trajectory` is a dense sampling of a path on a uniform
+A :class:`Trajectory` is a dense sampling of a 1-D path y(t) on a uniform
 :class:`TimeGrid`. A :class:`WaypointPath` is a sparse ordered list of
-configurations, typically produced by an external planner, that can be
-mapped onto a grid through the pipeline
+values, typically produced by an external planner, that can be mapped onto
+a grid through the pipeline
 
     unwrap_angles -> dedupe -> arc_length_times -> resample
 
 after which it is scored exactly like any internally optimized trajectory.
+Both types hold their values as one column of shape (n, 1) and reject a
+second column on construction.
 
 All operations here are pure functions of immutable inputs and are safe to
 call concurrently.
@@ -22,9 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegeneratePathError
-
-_TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -74,11 +73,27 @@ class TimeGrid:
         return np.arange(self.steps) * self.dt
 
 
+def _value_column(array, name: str) -> np.ndarray:
+    """A flat (n,) or (n, 1) ``array`` as a read-only (n, 1) copy; anything
+    else is a :class:`ConfigError`, as box environments score only 1-D paths."""
+    column = np.asarray(array, dtype=np.float64)
+    if column.ndim == 1:
+        column = column[:, None]
+    if column.ndim != 2 or column.shape[1] != 1:
+        raise ConfigError(f"{name} must be 1-D: one value column, got shape {np.shape(array)}")
+    if not np.isfinite(column).all():
+        raise ValueError(f"{name} must be finite")
+    column = column.copy()
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense trajectory: one row of ``values`` per grid point.
+    """Dense 1-D trajectory: the value y(t_i) at every grid point.
 
-    ``values`` has shape ``(grid.steps, dims)`` and every entry must be
+    ``values`` is one column of shape ``(grid.steps, 1)``; a flat
+    ``(grid.steps,)`` array is taken as that column. Every entry must be
     finite. The array is copied and marked read-only on construction.
     """
 
@@ -86,24 +101,12 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2:
-            raise ValueError(f"values must be 1-D or 2-D, got shape {values.shape}")
+        values = _value_column(self.values, "trajectory values")
         if values.shape[0] != self.grid.steps:
             raise ValueError(
                 f"values has {values.shape[0]} rows but grid has {self.grid.steps} steps"
             )
-        if not np.isfinite(values).all():
-            raise ValueError("trajectory values must be finite")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
 
     def times(self) -> np.ndarray:
         return self.grid.times()
@@ -111,42 +114,27 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class WaypointPath:
-    """Ordered list of configurations with optional per-dimension angle flags.
+    """Ordered list of the values of a 1-D path.
 
     Parameters
     ----------
-    waypoints : array-like, shape (L, d)
-        At least two configurations. A 1-D array is treated as a single
-        dimension.
-    angular : tuple of bool, optional
-        Marks which dimensions hold angles (radians); only those are
-        adjusted by :func:`unwrap_angles`. Default: none.
+    waypoints : array-like, shape (L, 1) or (L,)
+        At least two values, held as one column of shape (L, 1).
+    angular : bool, optional
+        Whether the values are angles (radians), which
+        :func:`unwrap_angles` unwraps. Default: False.
     """
 
     waypoints: np.ndarray
-    angular: tuple[bool, ...] | None = None
+    angular: bool = False
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.waypoints, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2:
-            raise ValueError(f"waypoints must be 1-D or 2-D, got shape {pts.shape}")
+        if not isinstance(self.angular, (bool, np.bool_)):
+            raise ConfigError(f"angular must be one bool, got {self.angular!r}")
+        pts = _value_column(self.waypoints, "waypoints")
         if pts.shape[0] < 2:
             raise DegeneratePathError(f"need at least 2 waypoints, got {pts.shape[0]}")
-        if not np.isfinite(pts).all():
-            raise ValueError("waypoints must be finite")
-        if self.angular is not None and len(self.angular) != pts.shape[1]:
-            raise ValueError(
-                f"angular has {len(self.angular)} flags for {pts.shape[1]} dimensions"
-            )
-        pts = pts.copy()
-        pts.flags.writeable = False
         object.__setattr__(self, "waypoints", pts)
-
-    @property
-    def dims(self) -> int:
-        return self.waypoints.shape[1]
 
     def dedupe(self) -> WaypointPath:
         """Drop consecutive duplicate waypoints.
@@ -156,23 +144,21 @@ class WaypointPath:
         :class:`DegeneratePathError` when fewer than two distinct waypoints
         remain (all waypoints identical).
         """
-        pts = self.waypoints
-        keep = np.ones(pts.shape[0], dtype=bool)
-        keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-        kept = pts[keep]
-        if kept.shape[0] < 2:
+        y = self.waypoints[:, 0]
+        keep = np.concatenate(([True], y[1:] != y[:-1]))
+        if keep.sum() < 2:
             raise DegeneratePathError("all waypoints identical: path has zero arc length")
-        if kept.shape[0] == pts.shape[0]:
+        if keep.all():
             return self
-        return WaypointPath(kept, self.angular)
+        return WaypointPath(y[keep], self.angular)
 
 
 def average_abs_jerk(traj: Trajectory) -> float:
     """Mean absolute third finite difference divided by dt^3.
 
     The third-order stencil ``y[t+3] - 3 y[t+2] + 3 y[t+1] - y[t]`` has
-    ``steps - 3`` valid windows; the average runs over valid windows times
-    dimensions, with no padding. Units are value/s^3.
+    ``steps - 3`` valid windows; the average runs over them, with no
+    padding. Units are value/s^3.
     """
     y = traj.values
     if y.shape[0] < 4:
@@ -182,7 +168,7 @@ def average_abs_jerk(traj: Trajectory) -> float:
 
 
 def path_length(traj: Trajectory) -> float:
-    """Sum of absolute per-step increments over all dimensions."""
+    """Sum of absolute per-step increments."""
     y = traj.values
     if y.shape[0] < 2:
         raise ValueError(f"path length needs at least 2 grid points, got {y.shape[0]}")
@@ -190,27 +176,23 @@ def path_length(traj: Trajectory) -> float:
 
 
 def unwrap_angles(path: WaypointPath) -> WaypointPath:
-    """Remove 2*pi jumps along the dimensions flagged angular.
+    """Remove 2*pi jumps from an angular path.
 
-    Each flagged dimension is shifted by integer multiples of 2*pi so that
-    consecutive increments have magnitude at most pi. Unflagged dimensions
-    pass through untouched; a path with no flags is returned as-is.
+    The values are shifted by integer multiples of 2*pi so that
+    consecutive increments have magnitude at most pi. A path not flagged
+    angular is returned as-is.
     """
-    if path.angular is None or not any(path.angular):
+    if not path.angular:
         return path
-    pts = path.waypoints.copy()
-    for d, is_angle in enumerate(path.angular):
-        if is_angle:
-            pts[:, d] = np.unwrap(pts[:, d])
-    return WaypointPath(pts, path.angular)
+    return WaypointPath(np.unwrap(path.waypoints[:, 0]), True)
 
 
 def arc_length_times(path: WaypointPath, duration: float) -> np.ndarray:
-    """Timestamps proportional to cumulative Euclidean arc length.
+    """Timestamps proportional to cumulative arc length.
 
     Waypoint ``i`` is placed at ``t_i = (s_i / S) * duration`` where ``s_i``
-    is the cumulative joint-space distance along the path and ``S`` the
-    total. The first timestamp is exactly 0 and the last exactly
+    is the cumulative distance ``sum |y_j - y_(j-1)|`` along the path and
+    ``S`` the total. The first timestamp is exactly 0 and the last exactly
     ``duration``.
 
     Raises
@@ -223,7 +205,7 @@ def arc_length_times(path: WaypointPath, duration: float) -> np.ndarray:
     """
     if not (duration > 0.0 and np.isfinite(duration)):
         raise ConfigError(f"duration must be positive and finite, got {duration}")
-    seg = np.linalg.norm(np.diff(path.waypoints, axis=0), axis=1)
+    seg = np.abs(np.diff(path.waypoints[:, 0]))
     if (seg == 0.0).any():
         raise DegeneratePathError(
             "zero-length segment between consecutive waypoints; dedupe the path first"
@@ -263,10 +245,7 @@ def resample(path: WaypointPath, timestamps: np.ndarray, grid: TimeGrid) -> Traj
         raise ConfigError(
             f"final timestamp {t[-1]!r} does not match grid horizon {grid.horizon_seconds!r}"
         )
-    values = np.empty((grid.steps, path.dims))
-    for d in range(path.dims):
-        values[:, d] = np.interp(grid_times, t, path.waypoints[:, d])
-    return Trajectory(grid, values)
+    return Trajectory(grid, np.interp(grid_times, t, path.waypoints[:, 0]))
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -286,41 +265,44 @@ def write_csv(path: str, header, rows) -> None:
         raise
 
 
+TRAJECTORY_HEADER = ("t", "dim0")
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     write_csv(
         path,
-        ["t"] + [f"dim{d}" for d in range(traj.dims)],
-        ([f"{t:.17g}"] + [f"{v:.17g}" for v in row] for t, row in zip(traj.times(), traj.values)),
+        TRAJECTORY_HEADER,
+        ([f"{t:.17g}", f"{v:.17g}"] for t, v in zip(traj.times(), traj.values[:, 0])),
     )
 
 
 def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a trajectory CSV back as ``(times, values)`` arrays.
 
-    Expects the header written by :func:`write_trajectory_csv`. Full
-    double precision survives the round trip.
+    Expects the header ``t,dim0`` written by :func:`write_trajectory_csv`;
+    the values come back as one column of shape (m, 1). Full double
+    precision survives the round trip.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise ConfigError(f"{path}: expected header starting with 't'")
-    dims = len(rows[0]) - 1
-    if dims < 1 or rows[0][1:] != [f"dim{d}" for d in range(dims)]:
-        raise ConfigError(f"{path}: malformed trajectory header {rows[0]}")
+    if not rows or tuple(rows[0]) != TRAJECTORY_HEADER:
+        raise ConfigError(f"{path}: expected trajectory header t,dim0")
+    body = rows[1:]
+    if not body or any(len(row) != 2 for row in body):
+        raise ConfigError(f"{path}: expected rows of two cells, t and dim0")
     try:
-        data = np.array([[float(cell) for cell in row] for row in rows[1:]])
+        data = np.array([[float(t), float(v)] for t, v in body])
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric trajectory row: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != dims + 1:
-        raise ConfigError(f"{path}: inconsistent column count")
     return data[:, 0], data[:, 1:]
 
 
 def load_waypoints(path: str) -> np.ndarray:
-    """Read a waypoint CSV: one configuration per row, optional header.
+    """Read a waypoint CSV: one waypoint per row, optional header.
 
     The first row is skipped when any of its cells fails to parse as a
-    number. All remaining rows must share one column count.
+    number. All remaining rows must share one column count; the result has
+    one column per CSV column, and :class:`WaypointPath` accepts only one.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]

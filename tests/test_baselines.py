@@ -122,8 +122,8 @@ class TestStompOptimize:
         assert traces == []
 
     def test_multi_dim_rejected(self):
-        y0 = Trajectory(GRID, np.zeros((100, 2)))
         with pytest.raises(ConfigError, match="1-D"):
+            y0 = Trajectory(GRID, np.zeros((100, 2)))
             stomp_optimize(y0, ENV, SCORE, StompConfig(), bench_sampler())
 
 
@@ -347,6 +347,6 @@ class TestMppiOptimize:
         assert out.values[0, 0] == 0.1
 
     def test_multi_dim_rejected(self):
-        y0 = Trajectory(GRID, np.zeros((100, 2)))
         with pytest.raises(ConfigError, match="1-D"):
+            y0 = Trajectory(GRID, np.zeros((100, 2)))
             mppi_optimize(y0, ENV, MppiConfig(), bench_sampler())

@@ -436,13 +436,6 @@ class TestEvaluateExternal:
         with pytest.raises(DegeneratePathError):
             evaluate_external(src, load_preset("free-space"), TimeGrid(1.0, 100.0))
 
-    def test_angular_dim_out_of_range(self, tmp_path):
-        src = self.write_waypoints(tmp_path, ["0.0", "1.0"])
-        with pytest.raises(ConfigError, match="angular"):
-            evaluate_external(
-                src, load_preset("free-space"), TimeGrid(1.0, 100.0), angular_dims=(3,)
-            )
-
     def test_multi_dim_rejected(self, tmp_path):
         src = self.write_waypoints(tmp_path, ["0.0,0.0", "1.0,1.0"])
         with pytest.raises(ConfigError, match="1-D"):
@@ -519,14 +512,38 @@ class TestCli:
         ]
         assert main(args) == 2
 
-    def test_evaluate_bad_angular_dims(self, tmp_path):
-        src = tmp_path / "line.csv"
-        src.write_text("0.0\n1.0\n")
-        args = [
-            "evaluate", "--path", str(src), "--env", "free-space",
-            "--horizon", "1.0", "--rate", "100.0", "--angular-dims", "x,y",
-        ]
-        assert main(args) == 2
+    def test_evaluate_angular_flag(self, tmp_path, capsys):
+        # 3.0 -> -3.0 is a jump of -6.0 rad, or +0.28 rad once unwrapped
+        src = tmp_path / "angles.csv"
+        src.write_text("3.0\n-3.0\n")
+        args = ["evaluate", "--path", str(src), "--env", "free-space", "--horizon", "1.0", "--rate", "100.0"]
+        assert main(args) == 0
+        assert "path_length:  5.94" in capsys.readouterr().out
+        assert main(args + ["--angular"]) == 0
+        assert "path_length:  0.280" in capsys.readouterr().out
+
+    def test_evaluate_multi_column_file_exits_2_at_load(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "two.csv"
+        src.write_text("0.0,0.0\n1.0,1.0\n")
+        import nfgopt.bench as bench_mod
+
+        def no_resample(*args, **kwargs):
+            raise AssertionError("a multi-column file reached resampling")
+
+        monkeypatch.setattr(bench_mod, "resample", no_resample)
+        args = ["evaluate", "--path", str(src), "--env", "free-space", "--horizon", "1.0", "--rate", "100.0"]
+        assert main(args + ["--angular"]) == 2
+        assert "1-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["True", "yes", "1", "", "false "])
+    def test_summarize_rejects_success_other_than_true_false(self, tmp_path, capsys, cell):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "method,seed,success,runtime_s,path_length,avg_jerk,iterations_used\n"
+            f"nfg,0,{cell},1.0,2.0,,10\n"
+        )
+        assert main(["summarize", "--records", str(path)]) == 2
+        assert "success must be true or false" in capsys.readouterr().err
 
     def test_summarize_round_trip(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

@@ -1,14 +1,31 @@
-"""The README against the code: its Configuration section against the
-config parser, and its Library example against the package."""
+"""The README against the code: its CLI block against the argument
+parser, its Configuration section against the config parser, and its
+Library example against the package."""
 
+import argparse
 import dataclasses
 import json
 import re
 from pathlib import Path
 
 from nfgopt.bench import CONFIG_FIELDS, METHODS
+from nfgopt.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_block_names_every_option():
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", text, flags=re.DOTALL).group(1)
+    documented = {
+        line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in block.splitlines() if line.strip()
+    }
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == defined
 
 
 def test_readme_lists_every_config_key():

@@ -155,8 +155,8 @@ class TestTrajectoryScore:
         assert np.all(after <= before + 1e-12)
 
     def test_multi_dim_rejected(self):
-        traj = Trajectory(GRID, np.zeros((100, 2)))
         with pytest.raises(ValueError, match="1-D"):
+            traj = Trajectory(GRID, np.zeros((100, 2)))
             trajectory_score(ENV, traj, SCORE)
 
     def test_penetration_profile_matches_steps(self):

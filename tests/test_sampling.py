@@ -147,10 +147,16 @@ class TestPerturbationSampler:
         b = PerturbationSampler(fac4, seed=2).sample(10, 0)
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.7, 1.0, True, np.bool_(False), "1", None])
     def test_bad_seed(self, seed):
         with pytest.raises(ConfigError):
             PerturbationSampler(bench_factor(), seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        fac = bench_factor()
+        expected = PerturbationSampler(fac, seed=3).normals(2, 4, 5)
+        for seed, stream in [(np.int64(3), np.uint64(5)), (np.uint64(3), np.int32(5))]:
+            assert np.array_equal(PerturbationSampler(fac, seed=seed).normals(2, 4, stream), expected)
 
     def test_count_validation(self):
         sampler = PerturbationSampler(bench_factor(), seed=0)
@@ -187,7 +193,10 @@ class TestPerturbationSampler:
         sampler.normals(9, 13, 2)
         assert np.array_equal(sampler.normals(9, 13, 1), first)
 
-    @pytest.mark.parametrize("width, stream", [(0, 0), (-1, 0), (5, -1), (5, 2**64)])
+    @pytest.mark.parametrize(
+        "width, stream",
+        [(0, 0), (-1, 0), (5, -1), (5, 2**64), (5, 0.9), (5, 1.0), (5, True), (5, np.float64(2.0))],
+    )
     def test_bad_width_or_stream(self, width, stream):
         sampler = PerturbationSampler(bench_factor(), seed=0)
         with pytest.raises(ConfigError):

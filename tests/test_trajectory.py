@@ -60,7 +60,11 @@ class TestTrajectory:
     def test_one_dim_promotion(self):
         traj = make_traj(np.zeros(5))
         assert traj.values.shape == (5, 1)
-        assert traj.dims == 1
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 0), (5, 1, 1), ()])
+    def test_second_column_rejected(self, shape):
+        with pytest.raises(ConfigError, match="1-D"):
+            Trajectory(TimeGrid(5.0, 1.0), np.zeros(shape))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
@@ -95,7 +99,7 @@ class TestAverageAbsJerk:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(0)
-        values = rng.normal(size=(50, 2))
+        values = rng.normal(size=50)
         a = average_abs_jerk(make_traj(values))
         b = average_abs_jerk(make_traj(values + 123.456))
         assert a == pytest.approx(b, rel=1e-9)
@@ -122,7 +126,7 @@ class TestPathLength:
 
     def test_lower_bound_per_dimension(self):
         rng = np.random.default_rng(1)
-        values = rng.normal(size=(30, 3))
+        values = rng.normal(size=30)
         total = path_length(make_traj(values))
         bound = np.abs(values[-1] - values[0]).sum()
         assert total >= bound - 1e-12
@@ -130,18 +134,18 @@ class TestPathLength:
 
 class TestUnwrapAngles:
     def test_identity_when_continuous(self):
-        path = WaypointPath(np.array([0.0, 0.1]), angular=(True,))
+        path = WaypointPath(np.array([0.0, 0.1]), angular=True)
         out = unwrap_angles(path)
         np.testing.assert_array_equal(out.waypoints[:, 0], [0.0, 0.1])
 
     def test_single_jump(self):
-        path = WaypointPath(np.array([3.1, -3.1]), angular=(True,))
+        path = WaypointPath(np.array([3.1, -3.1]), angular=True)
         out = unwrap_angles(path)
         expected = [3.1, 3.1 + (2.0 * math.pi - 6.2)]
         np.testing.assert_allclose(out.waypoints[:, 0], expected, atol=1e-12)
 
     def test_cumulative_correction(self):
-        path = WaypointPath(np.array([0.0, 3.2, 6.4]), angular=(True,))
+        path = WaypointPath(np.array([0.0, 3.2, 6.4]), angular=True)
         out = unwrap_angles(path)
         expected = [0.0, 3.2 - 2.0 * math.pi, 6.4 - 4.0 * math.pi]
         np.testing.assert_allclose(out.waypoints[:, 0], expected, atol=1e-12)
@@ -150,16 +154,10 @@ class TestUnwrapAngles:
         path = WaypointPath(np.array([0.0, 3.2, 6.4]))
         assert unwrap_angles(path) is path
 
-    def test_only_flagged_dimensions_change(self):
-        pts = np.column_stack([[0.0, 3.2, 6.4], [0.0, 3.2, 6.4]])
-        out = unwrap_angles(WaypointPath(pts, angular=(False, True)))
-        np.testing.assert_array_equal(out.waypoints[:, 0], pts[:, 0])
-        assert not np.array_equal(out.waypoints[:, 1], pts[:, 1])
-
     def test_output_properties(self):
         rng = np.random.default_rng(2)
         raw = rng.uniform(-10.0, 10.0, size=40)
-        out = unwrap_angles(WaypointPath(raw, angular=(True,)))
+        out = unwrap_angles(WaypointPath(raw, angular=True))
         shift = (out.waypoints[:, 0] - raw) / (2.0 * math.pi)
         np.testing.assert_allclose(shift, np.round(shift), atol=1e-9)
         assert np.all(np.abs(np.diff(out.waypoints[:, 0])) <= math.pi + 1e-9)
@@ -180,7 +178,7 @@ class TestArcLengthTimes:
         assert t.tolist() == [0.0, 3.0, 4.0]
 
     def test_scale_invariance(self):
-        pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 4.0]])
+        pts = np.array([0.0, 1.0, 3.0, 2.5, 4.0])
         a = arc_length_times(WaypointPath(pts), 7.0)
         b = arc_length_times(WaypointPath(2.0 * pts), 7.0)
         np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -218,7 +216,7 @@ class TestResample:
     def test_round_trip_identity(self):
         grid = TimeGrid(1.0, 100.0)
         rng = np.random.default_rng(3)
-        values = rng.normal(size=(grid.steps, 2))
+        values = rng.normal(size=(grid.steps, 1))
         path = WaypointPath(values)
         out = resample(path, grid.times(), grid)
         np.testing.assert_array_equal(out.values, values)
@@ -256,16 +254,27 @@ class TestWaypointPath:
         path = WaypointPath(np.array([0.0, 1.0]))
         assert path.dedupe() is path
 
-    def test_angular_flag_count(self):
-        with pytest.raises(ValueError, match="flags"):
-            WaypointPath(np.zeros((3, 2)) + np.arange(3)[:, None], angular=(True,))
+    def test_second_column_rejected(self):
+        with pytest.raises(ConfigError, match="1-D"):
+            WaypointPath(np.zeros((3, 2)) + np.arange(3)[:, None])
+
+    @pytest.mark.parametrize("flag", [(True,), (False,), 1, "yes", None])
+    def test_angular_must_be_one_bool(self, flag):
+        with pytest.raises(ConfigError, match="bool"):
+            WaypointPath(np.array([0.0, 1.0]), angular=flag)
+
+    def test_flat_and_column_inputs_agree(self):
+        flat = WaypointPath(np.array([0.0, 2.0, 1.0]))
+        column = WaypointPath(np.array([[0.0], [2.0], [1.0]]))
+        assert flat.waypoints.shape == (3, 1)
+        np.testing.assert_array_equal(flat.waypoints, column.waypoints)
 
 
 class TestCsvIo:
     def test_trajectory_round_trip(self, tmp_path):
         grid = TimeGrid(1.0, 100.0)
         rng = np.random.default_rng(4)
-        traj = Trajectory(grid, rng.normal(size=(grid.steps, 3)))
+        traj = Trajectory(grid, rng.normal(size=(grid.steps, 1)))
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, str(out))
         times, values = read_trajectory_csv(str(out))
@@ -274,16 +283,30 @@ class TestCsvIo:
 
     def test_trajectory_header(self, tmp_path):
         grid = TimeGrid(1.0, 100.0)
-        traj = Trajectory(grid, np.zeros((100, 2)))
+        traj = Trajectory(grid, np.zeros((100, 1)))
         out = tmp_path / "traj.csv"
         write_trajectory_csv(traj, str(out))
         header = out.read_text().splitlines()[0]
-        assert header == "t,dim0,dim1"
+        assert header == "t,dim0"
 
     def test_read_rejects_bad_header(self, tmp_path):
         out = tmp_path / "bad.csv"
         out.write_text("x,dim0\n0,1\n")
         with pytest.raises(ConfigError, match="header"):
+            read_trajectory_csv(str(out))
+
+    @pytest.mark.parametrize("text", ["t,dim0,dim1\n0,1,2\n", "t\n0\n", "t,dim1\n0,1\n", ""])
+    def test_read_accepts_only_one_column_header(self, tmp_path, text):
+        out = tmp_path / "bad.csv"
+        out.write_text(text)
+        with pytest.raises(ConfigError, match="t,dim0"):
+            read_trajectory_csv(str(out))
+
+    @pytest.mark.parametrize("body", ["0,1,2\n", "0,1\n1\n", ""])
+    def test_read_rejects_rows_not_of_two_cells(self, tmp_path, body):
+        out = tmp_path / "bad.csv"
+        out.write_text("t,dim0\n" + body)
+        with pytest.raises(ConfigError, match="two cells"):
             read_trajectory_csv(str(out))
 
     def test_load_waypoints_plain(self, tmp_path):
