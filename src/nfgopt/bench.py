@@ -52,7 +52,7 @@ from .environment import (
 )
 from .errors import ConfigError, DegeneratePathError, NonFiniteStepError
 from .nfg import IterationTrace, NfgConfig, optimize
-from .sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
+from .sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix, principal_factor
 from .trajectory import (
     TimeGrid,
     Trajectory,
@@ -355,12 +355,13 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "
     ``parallel`` > 1 spreads runs over worker processes; record content is
     identical at any level because each run's randomness is fixed by
     (method, seed) alone. ``out_dir`` of "" uses the config's output_dir;
-    None disables artifact writing and returns records only.
+    None disables artifact writing and returns records only. Every run
+    samples from one :func:`principal_factor` of the kernel, built here.
     """
     if out_dir == "":
         out_dir = bench.output_dir
     K = kernel_matrix(bench.grid, bench.kernel)
-    factor = factorize(K, bench.reg)
+    factor = principal_factor(factorize(K, bench.reg), bench.reg)
     specs, seeds = zip(*itertools.product(bench.methods, bench.seeds))
     args = (specs, seeds, itertools.repeat(bench), itertools.repeat(factor), itertools.repeat(out_dir))
     if parallel > 1:
@@ -453,19 +454,26 @@ def read_records_csv(path: str) -> list[RunRecord]:
         if row[2] not in ("true", "false"):
             raise ConfigError(f"{path}: row {i + 1}: success must be true or false, got {row[2]!r}")
         try:
-            records.append(
-                RunRecord(
-                    method=row[0],
-                    seed=int(row[1]),
-                    success=row[2] == "true",
-                    runtime=float(row[3]),
-                    path_length=float(row[4]),
-                    avg_jerk=None if row[5] == "" else float(row[5]),
-                    iterations_used=int(row[6]),
-                )
+            record = RunRecord(
+                method=row[0],
+                seed=int(row[1]),
+                success=row[2] == "true",
+                runtime=float(row[3]),
+                path_length=float(row[4]),
+                avg_jerk=None if row[5] == "" else float(row[5]),
+                iterations_used=int(row[6]),
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: row {i + 1}: {exc}") from exc
+        measures = {"runtime_s": record.runtime, "path_length": record.path_length, "avg_jerk": record.avg_jerk}
+        for name, value in measures.items():
+            if value is not None and not (np.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{path}: row {i + 1}: {name} must be finite and non-negative, got {value!r}")
+        if record.iterations_used < 0:
+            raise ConfigError(
+                f"{path}: row {i + 1}: iterations_used must be non-negative, got {record.iterations_used}"
+            )
+        records.append(record)
     return records
 
 

@@ -1,8 +1,9 @@
 """Natural functional gradient ascent in a discretized function space.
 
-Each iteration draws smooth Gaussian perturbations eps = sigma * L z around
-the current mean trajectory mu, scores mu + eps in batch, and moves mu along
-the weighted perturbation average
+Each iteration draws smooth Gaussian perturbations eps = sigma * F z around
+the current mean trajectory mu, where F is the sampler's (m, r) covariance
+factor and z holds r standard normals, scores mu + eps in batch, and moves
+mu along the weighted perturbation average
 
     direction = (1 / (B sigma^2)) * sum_s exp(n_pow * f_s) * eps_s,
 

@@ -1,17 +1,20 @@
-"""Squared-exponential kernel, regularized Cholesky factor, and smooth
+"""Squared-exponential kernel, its regularized factors, and smooth
 Gaussian perturbation sampling.
 
 :func:`factorize` returns the read-only lower-triangular ``L`` with
-``L L^T = K + reg*I``. The sampler draws unit-scale perturbations
-``L @ z`` with ``z ~ N(0, I_m)``, so every sample is a smooth function
-drawn from the kernel's function space; an optimizer scales them by the
-``sigma`` of its own config. Randomness is counter-based: substream
-``stream`` is a Philox engine keyed on ``(seed, stream)``, and a batch of
-``count`` rows is one ``standard_normal((count, width))`` draw from it,
-filled row by row. A batch is thus a pure function of
-``(seed, stream, count, width)``, and a smaller batch of the same width
-is a prefix of a larger one. The optimizers use iteration k's substream
-for iteration k.
+``L L^T = K + reg*I``. :func:`principal_factor` keeps from it the r
+principal components whose kernel eigenvalue exceeds the jitter ``reg``:
+an (m, r) factor ``F`` with ``F F^T`` within ``2*reg`` of ``K + reg*I``
+entrywise. The sampler draws unit-scale perturbations ``F @ z`` with
+``z ~ N(0, I_r)`` for any factor of shape (m, r), so every sample is a
+smooth function drawn from the kernel's function space; an optimizer
+scales them by the ``sigma`` of its own config. A square Cholesky factor
+is the case r = m. Randomness is counter-based: substream ``stream`` is a
+Philox engine keyed on ``(seed, stream)``, and a batch of ``count`` rows
+is one ``standard_normal((count, width))`` draw from it, filled row by
+row. A batch is thus a pure function of ``(seed, stream, count, width)``,
+and a smaller batch of the same width is a prefix of a larger one. The
+optimizers use iteration k's substream for iteration k.
 """
 
 from __future__ import annotations
@@ -26,11 +29,17 @@ from .errors import ConfigError
 _UINT64_MAX = 2**64 - 1
 
 
-def _check_uint64(value, name: str) -> None:
-    """Reject anything but a Python or numpy integer (not a bool) in
-    [0, 2**64): Philox would silently truncate a float key."""
+def _check_integer(value, name: str) -> None:
+    """Reject anything but a Python or numpy integer (not a bool): Philox
+    would silently truncate a float key, and numpy raises a bare TypeError
+    on a float shape."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_uint64(value, name: str) -> None:
+    """Reject anything but an integer in [0, 2**64)."""
+    _check_integer(value, name)
     if not (0 <= value <= _UINT64_MAX):
         raise ConfigError(f"{name} must fit in 64 bits, got {value}")
 
@@ -84,14 +93,43 @@ def factorize(K: np.ndarray, reg: float) -> np.ndarray:
     return L
 
 
+def principal_factor(L: np.ndarray, reg: float) -> np.ndarray:
+    """Read-only (m, r) factor of the principal components of ``L L^T``
+    whose kernel eigenvalue exceeds the jitter ``reg``.
+
+    With ``L = U S V^T``, ``S**2`` are the eigenvalues of ``K + reg*I``;
+    the columns ``U[:, j] * S[j]`` with ``S[j]**2 > 2*reg`` are kept, each
+    with its sign flipped so that its largest-magnitude entry is positive.
+    Every dropped eigenvalue of ``K + reg*I`` is at most ``2*reg``, so the
+    product of the result with its transpose is within ``2*reg`` of
+    ``L L^T`` entrywise.
+
+    Raises
+    ------
+    ConfigError
+        If no eigenvalue exceeds the jitter.
+    """
+    U, S, _ = np.linalg.svd(L)
+    keep = S * S > 2.0 * reg
+    if not keep.any():
+        raise ConfigError(f"no kernel eigenvalue exceeds the jitter reg={reg}; lower reg_scale")
+    U = U[:, keep]
+    signs = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
+    F = U * (signs * S[keep])
+    F.flags.writeable = False
+    return F
+
+
 @dataclass(frozen=True)
 class PerturbationSampler:
-    """Deterministic source of unit-scale smooth perturbations L @ z.
+    """Deterministic source of unit-scale smooth perturbations F @ z.
 
-    ``stream`` partitions the seed into independent substreams, each read
-    from its start by every call. Two calls with the same stream return
-    identical output, and a call for fewer rows returns a prefix of a call
-    for more; the sampler holds no mutable state.
+    ``factor`` F has shape (m, r): each perturbation is m grid values
+    drawn from r standard normals, with covariance F F^T. ``stream``
+    partitions the seed into independent substreams, each read from its
+    start by every call. Two calls with the same stream return identical
+    output, and a call for fewer rows returns a prefix of a call for more;
+    the sampler holds no mutable state.
     """
 
     factor: np.ndarray
@@ -109,6 +147,8 @@ class PerturbationSampler:
         underlying :meth:`sample`; consumers that need unsmoothed noise
         (Wiener-process rollouts) use it directly.
         """
+        _check_integer(count, "count")
+        _check_integer(width, "width")
         if count < 1:
             raise ConfigError(f"count must be at least 1, got {count}")
         if width < 1:
@@ -118,6 +158,7 @@ class PerturbationSampler:
         return Generator(Philox(key=key)).standard_normal((count, width))
 
     def sample(self, count: int, stream: int) -> np.ndarray:
-        """Draw ``count`` unit-scale smooth perturbations, shape (count, m)."""
-        z = self.normals(count, self.factor.shape[0], stream)
+        """Draw ``count`` unit-scale smooth perturbations, shape (count, m):
+        ``normals(count, r, stream) @ factor.T``."""
+        z = self.normals(count, self.factor.shape[1], stream)
         return z @ self.factor.T

@@ -111,16 +111,16 @@ class TestCriterion1BenchmarkOrdering:
 # avg_jerk, iterations_used). A change to any of them changes what the
 # benchmark reports and has to be deliberate.
 GOLDEN_RECORDS = [
-    ("nfg", 0, True, 10.13431063005879, 7629.066180196642, 100),
-    ("nfg", 1, True, 9.851583929370719, 8676.384632290752, 100),
-    ("nfg", 2, True, 9.199446929994673, 9453.982236634036, 100),
-    ("nfg", 3, True, 10.177933832244596, 5333.837344682536, 100),
-    ("nfg", 4, True, 9.033332480397672, 12186.055317214865, 100),
-    ("stomp", 0, False, 9.625748919763446, None, 100),
-    ("stomp", 1, False, 9.930000440039878, None, 100),
-    ("stomp", 2, False, 12.984061892980002, None, 100),
-    ("stomp", 3, True, 10.00858129472325, 10987.518618532562, 100),
-    ("stomp", 4, False, 7.895325427180571, None, 100),
+    ("nfg", 0, True, 9.85868066900888, 3113.97204720414, 100),
+    ("nfg", 1, True, 10.234725678196662, 8848.826042413632, 100),
+    ("nfg", 2, True, 11.524235727316748, 13207.184302204125, 100),
+    ("nfg", 3, True, 9.68671559087, 10507.35894850509, 100),
+    ("nfg", 4, True, 10.112046661889975, 16189.4947748593, 100),
+    ("stomp", 0, False, 9.30694916320924, None, 100),
+    ("stomp", 1, True, 9.919722218779055, 13558.564771328938, 100),
+    ("stomp", 2, False, 8.450819763872659, None, 100),
+    ("stomp", 3, False, 8.786659213946466, None, 100),
+    ("stomp", 4, True, 8.791428277315081, 12272.651866127406, 100),
     ("chomp", 0, False, 4.000000000000002, None, 100),
     ("chomp", 1, False, 4.000000000000002, None, 100),
     ("chomp", 2, False, 4.000000000000002, None, 100),

@@ -545,6 +545,29 @@ class TestCli:
         assert main(["summarize", "--records", str(path)]) == 2
         assert "success must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("nfg,0,true,nan,inf,-3.0,-10", "runtime_s"),
+            ("nfg,0,true,-1.0,2.0,3.0,10", "runtime_s"),
+            ("nfg,0,true,1.0,inf,3.0,10", "path_length"),
+            ("nfg,0,false,1.0,-2.0,,10", "path_length"),
+            ("nfg,0,true,1.0,2.0,nan,10", "avg_jerk"),
+            ("nfg,0,true,1.0,2.0,-3.0,10", "avg_jerk"),
+            ("nfg,0,true,1.0,2.0,3.0,-10", "iterations_used"),
+        ],
+    )
+    def test_summarize_rejects_impossible_records(self, tmp_path, capsys, row, field):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "method,seed,success,runtime_s,path_length,avg_jerk,iterations_used\n"
+            "nfg,1,true,1.0,2.0,3.0,10\n"
+            f"{row}\n"
+        )
+        assert main(["summarize", "--records", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"row 2: {field}" in err
+
     def test_summarize_round_trip(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "out"

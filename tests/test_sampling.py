@@ -3,7 +3,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from nfgopt.errors import ConfigError
-from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
+from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix, principal_factor
 from nfgopt.trajectory import TimeGrid
 
 BENCH_KERNEL = SEKernel(variance=0.29, length_scale=0.22)
@@ -162,6 +162,11 @@ class TestPerturbationSampler:
         sampler = PerturbationSampler(bench_factor(), seed=0)
         with pytest.raises(ConfigError):
             sampler.sample(0, 0)
+        for count in (2.5, 2.0, True, np.float64(3.0)):
+            with pytest.raises(ConfigError, match="count must be an integer"):
+                sampler.normals(count, 4, 0)
+            with pytest.raises(ConfigError, match="count must be an integer"):
+                sampler.sample(count, 0)
 
     @pytest.mark.parametrize("seed, stream", [(0, 0), (2**64 - 1, 2**64 - 1)])
     @pytest.mark.parametrize("width", [1, 100])
@@ -195,9 +200,66 @@ class TestPerturbationSampler:
 
     @pytest.mark.parametrize(
         "width, stream",
-        [(0, 0), (-1, 0), (5, -1), (5, 2**64), (5, 0.9), (5, 1.0), (5, True), (5, np.float64(2.0))],
+        [
+            (0, 0), (-1, 0), (5, -1), (5, 2**64), (5, 0.9), (5, 1.0), (5, True), (5, np.float64(2.0)),
+            (2.0, 0), (2.5, 0), (True, 0), (np.float64(3.0), 0),
+        ],
     )
     def test_bad_width_or_stream(self, width, stream):
         sampler = PerturbationSampler(bench_factor(), seed=0)
         with pytest.raises(ConfigError):
             sampler.normals(3, width, stream)
+
+
+RATE_RANKS = [(50.0, 12), (100.0, 12), (200.0, 13), (400.0, 13)]
+
+
+def principal(rate_hz=100.0, reg_scale=1e-6):
+    # built the way run_benchmark builds it; 100 Hz is the packaged grid
+    K = kernel_matrix(TimeGrid(1.0, rate_hz), BENCH_KERNEL)
+    reg = reg_scale * BENCH_KERNEL.variance
+    return K, reg, principal_factor(factorize(K, reg), reg)
+
+
+class TestPrincipalFactor:
+    @pytest.mark.parametrize("rate_hz, rank", RATE_RANKS)
+    def test_rank(self, rate_hz, rank):
+        K, _, fac = principal(rate_hz)
+        assert fac.shape == (K.shape[0], rank)
+
+    @pytest.mark.parametrize("rate_hz", [rate for rate, _ in RATE_RANKS])
+    def test_reconstruction_within_twice_the_jitter(self, rate_hz):
+        # every dropped eigenvalue of K + reg*I is at most 2*reg
+        K, reg, fac = principal(rate_hz)
+        err = np.abs(fac @ fac.T - (K + reg * np.eye(K.shape[0]))).max()
+        assert err <= 2.0 * reg
+
+    def test_largest_entry_of_each_column_positive(self):
+        _, _, fac = principal()
+        peaks = fac[np.abs(fac).argmax(axis=0), np.arange(fac.shape[1])]
+        assert np.all(peaks > 0.0)
+
+    def test_read_only(self):
+        _, _, fac = principal()
+        with pytest.raises(ValueError, match="read-only"):
+            fac[0, 0] = 1.0
+
+    def test_nothing_above_the_jitter_rejected(self):
+        with pytest.raises(ConfigError, match="reg_scale"):
+            principal(reg_scale=1e6)
+
+    def test_sample_draws_rank_many_normals(self):
+        _, _, fac = principal()
+        sampler = PerturbationSampler(fac, seed=3)
+        z = sampler.normals(6, fac.shape[1], 1)
+        assert np.array_equal(sampler.sample(6, 1), z @ fac.T)
+
+    def test_empirical_covariance_matches_kernel(self):
+        # the benchmark's sampler, 50k draws at m=100, against K itself;
+        # tolerance 5 g^2 / sqrt(B) as in criterion 5
+        K, _, fac = principal()
+        draws = 50_000
+        eps = PerturbationSampler(fac, seed=21).sample(draws, 0)
+        empirical = (eps.T @ eps) / draws
+        tol = 5.0 * BENCH_KERNEL.variance / np.sqrt(draws)
+        assert np.abs(empirical - K).max() <= tol
