@@ -1,4 +1,5 @@
-"""Hot numeric kernels: per-step box penetration and batched trajectory scoring.
+"""Hot numeric kernels: the third-difference stencil, per-step box
+penetration and batched trajectory scoring.
 
 The kernels vectorize over the batch axis with numpy. They read the boxes
 from a :class:`BoxTable`, which :func:`box_table` builds once per time grid
@@ -76,6 +77,13 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable) -> np.ndarray
     return s
 
 
+def third_difference(values: np.ndarray) -> np.ndarray:
+    """``v[t+3] - 3 v[t+2] + 3 v[t+1] - v[t]`` along the last axis, which
+    has ``n - 3`` windows for ``n`` points: the jerk stencil every method
+    scores with."""
+    return values[..., 3:] - 3.0 * values[..., 2:-1] + 3.0 * values[..., 1:-2] - values[..., :-3]
+
+
 # Scoring keeps its own reference, so rebinding the public name (as a
 # per-layer profiler does) counts only the direct penetration checks.
 _profile = penetration_profile_batch
@@ -87,6 +95,5 @@ def batch_scores(values: np.ndarray, table: BoxTable, lambda_jerk: float, dt: fl
     s = _profile(values, table)
     colliding = (s < 0.0).any(axis=1)
     penalty = s.mean(axis=1)
-    d3 = values[:, 3:] - 3.0 * values[:, 2:-1] + 3.0 * values[:, 1:-2] - values[:, :-3]
-    bonus = np.exp(-lambda_jerk * (np.abs(d3).mean(axis=1) / dt**3))
+    bonus = np.exp(-lambda_jerk * (np.abs(third_difference(values)).mean(axis=1) / dt**3))
     return np.where(colliding, penalty, bonus)

@@ -143,22 +143,16 @@ def _deepest_region(profile: np.ndarray) -> tuple[int, np.ndarray]:
     return deepest, np.arange(lo, hi + 1)
 
 
-def _outward_sign(env: BoxEnvironment, t: float, y: float, rng: np.random.Generator) -> float:
-    """Sign of the outward normal at the deepest point: toward the nearer
-    horizontal face of the box with the deepest containment, random at an
-    exact midpoint tie."""
-    best_depth = 0.0
-    best_box = None
-    for b in env.boxes:
-        if b.t_lo <= t <= b.t_hi and b.y_lo <= y <= b.y_hi:
-            depth = min(y - b.y_lo, b.y_hi - y)
-            if best_box is None or depth > best_depth:
-                best_depth = depth
-                best_box = b
-    if best_box is None:
-        raise ValueError(f"point (t={t}, y={y}) is not inside any box")
-    d_lo = y - best_box.y_lo
-    d_hi = best_box.y_hi - y
+def _outward_sign(table: _kernels.BoxTable, column: int, y: float, rng: np.random.Generator) -> float:
+    """Sign of the outward normal at value ``y`` in grid column ``column``,
+    which lies inside a box of ``table``: toward the nearer horizontal face
+    of the deepest containing box (the first listed at equal depth), random
+    at an exact midpoint tie."""
+    lo = table.lo[:, column - table.c0]
+    hi = table.hi[:, column - table.c0]
+    box = int(np.argmax(np.minimum(y - lo, hi - y)))
+    d_lo = y - lo[box]
+    d_hi = hi[box] - y
     if d_hi < d_lo:
         return 1.0
     if d_lo < d_hi:
@@ -178,29 +172,25 @@ def chomp_gradient(
     the deepest-penetration region (the contiguous colliding run containing
     the global minimum), zero elsewhere. Collision-free: the exact gradient
     of exp(-lambda_jerk * mean |third difference| / dt^3), formed through
-    the adjoint of the third-difference stencil. The only randomness is the
+    the adjoint of the third-difference stencil: the full convolution of
+    the window signs with the reversed stencil. The only randomness is the
     tie-break at an exact midpoint.
     """
     values = y.values[:, 0]
-    times = y.times()
-    profile = _kernels.penetration_profile_batch(values[None, :], env.box_table(times))[0]
+    table = env.box_table(y.times())
+    profile = _kernels.penetration_profile_batch(values[None, :], table)[0]
     m = values.shape[0]
     if (profile < 0.0).any():
         deepest, region = _deepest_region(profile)
-        sign = _outward_sign(env, float(times[deepest]), float(values[deepest]), rng)
         direction = np.zeros(m)
-        direction[region] = sign
+        direction[region] = _outward_sign(table, deepest, float(values[deepest]), rng)
         return direction
     dt3 = y.grid.dt**3
     windows = m - 3
-    d3 = values[3:] - 3.0 * values[2:-1] + 3.0 * values[1:-2] - values[:-3]
+    d3 = _kernels.third_difference(values)
     mean_jerk = np.abs(d3).sum() / (windows * dt3)
-    sign_d3 = np.sign(d3)
-    adjoint = np.zeros(m)
-    adjoint[0:windows] -= sign_d3
-    adjoint[1 : windows + 1] += 3.0 * sign_d3
-    adjoint[2 : windows + 2] -= 3.0 * sign_d3
-    adjoint[3 : windows + 3] += sign_d3
+    # sums of the integers +-1 and +-3 only, so exact in any order
+    adjoint = np.convolve(np.sign(d3), (-1.0, 3.0, -3.0, 1.0))
     grad_mean_jerk = adjoint / (windows * dt3)
     lambda_jerk = score_cfg.lambda_jerk
     return np.exp(-lambda_jerk * mean_jerk) * (-lambda_jerk) * grad_mean_jerk

@@ -536,7 +536,6 @@ class ExternalEvaluation:
     avg_jerk: float | None
     first_collision_time: float | None
     score: float
-    trajectory: Trajectory
 
 
 def evaluate_external(
@@ -570,5 +569,4 @@ def evaluate_external(
         avg_jerk=average_abs_jerk(traj) if success else None,
         first_collision_time=first_hit,
         score=trajectory_score(env, traj, score_cfg),
-        trajectory=traj,
     )

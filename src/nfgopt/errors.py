@@ -16,11 +16,8 @@ class DegeneratePathError(ValueError):
 
 class DegenerateBatchError(RuntimeError):
     """Every sample in a Monte-Carlo batch received zero weight, so no update
-    direction can be formed."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
+    direction can be formed. The optimizer loop catches it and skips that
+    iteration's update."""
 
 
 class NonFiniteStepError(RuntimeError):

@@ -14,8 +14,8 @@ perturbations, so every iterate inherits the kernel's smoothness.
 Weight modes: ``raw`` uses exp(n_pow * f_s) as written (exponent clamped to
 keep doubles finite); ``shifted`` subtracts the batch maximum inside the
 exponent first, rescaling the direction by a positive per-batch constant.
-The shift prevents overflow at large n_pow and leaves the direction (and
-any normalized step) unchanged.
+The shift prevents overflow at large n_pow and leaves the normalized step
+unchanged.
 
 The iteration loop here (:func:`_iterate`) is the one every optimizer in
 the package runs; the baselines supply only their update rules.
@@ -43,10 +43,10 @@ WEIGHT_MODES = ("raw", "shifted")
 class NfgConfig:
     """Optimizer settings.
 
-    ``step_size`` is a constant or one value per iteration. With
-    ``normalize_step`` the update direction is scaled to unit norm before
-    the step, which makes a constant step usable even though raw weights
-    can span hundreds of orders of magnitude.
+    ``step_size`` is a constant or one value per iteration. The update
+    direction is scaled to unit norm before the step, which makes a
+    constant step usable even though raw weights can span hundreds of
+    orders of magnitude.
     """
 
     sigma: float = 1.0
@@ -54,7 +54,6 @@ class NfgConfig:
     batch: int = 100
     iterations: int = 100
     step_size: float | tuple[float, ...] = 0.1
-    normalize_step: bool = True
     early_stop: bool = False
     weight_mode: str = "shifted"
 
@@ -150,7 +149,7 @@ def estimate_direction(
         Source of the unit-scale perturbations, which ``cfg.sigma`` scales.
     stream : int
         Substream of the sampler to draw from; the optimizer passes its
-        iteration, which a degenerate batch's error reports.
+        iteration.
 
     Returns
     -------
@@ -158,6 +157,8 @@ def estimate_direction(
         ``(1 / (B sigma^2)) * sum_s w_s eps_s``.
     stats : dict
         ``best_score`` and ``mean_weight`` of the batch.
+
+    Raises :class:`DegenerateBatchError` when every sample scored -inf.
     """
     mu_values = np.asarray(mu_values, dtype=np.float64)
     if mu_values.ndim != 1 or mu_values.shape[0] != sampler.factor.shape[0]:
@@ -168,10 +169,7 @@ def estimate_direction(
     scores = np.asarray(objective(mu_values[None, :] + eps), dtype=np.float64)
     if scores.shape != (cfg.batch,):
         raise ValueError(f"objective returned shape {scores.shape}, expected ({cfg.batch},)")
-    try:
-        weights = batch_weights(scores, cfg.n_pow, cfg.weight_mode)
-    except DegenerateBatchError as exc:
-        raise DegenerateBatchError(str(exc), iteration=stream) from None
+    weights = batch_weights(scores, cfg.n_pow, cfg.weight_mode)
     direction = (weights @ eps) / (cfg.batch * cfg.sigma**2)
     stats = {"best_score": float(scores.max()), "mean_weight": float(weights.mean())}
     return direction, stats
@@ -244,8 +242,7 @@ def optimize_objective(
         except DegenerateBatchError:
             return _Step(None, -np.inf, 0.0, 0.0)
         norm = float(np.linalg.norm(direction))
-        if cfg.normalize_step:
-            direction = direction / (norm + _NORM_EPS)
+        direction = direction / (norm + _NORM_EPS)
         return _Step(cfg.eta(k) * direction, stats["best_score"], stats["mean_weight"], norm)
 
     return _iterate(values0, cfg.iterations, cfg.early_stop, feasibility, ascent)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import third_difference
 from .errors import ConfigError, DegeneratePathError
 
 @dataclass(frozen=True)
@@ -74,15 +75,16 @@ class TimeGrid:
 
 
 def _value_column(array, name: str) -> np.ndarray:
-    """A flat (n,) or (n, 1) ``array`` as a read-only (n, 1) copy; anything
-    else is a :class:`ConfigError`, as box environments score only 1-D paths."""
+    """A flat (n,) or (n, 1) ``array`` of finite values as a read-only
+    (n, 1) copy; anything else is a :class:`ConfigError`, as box
+    environments score only 1-D paths."""
     column = np.asarray(array, dtype=np.float64)
     if column.ndim == 1:
         column = column[:, None]
     if column.ndim != 2 or column.shape[1] != 1:
         raise ConfigError(f"{name} must be 1-D: one value column, got shape {np.shape(array)}")
     if not np.isfinite(column).all():
-        raise ValueError(f"{name} must be finite")
+        raise ConfigError(f"{name} must be finite")
     column = column.copy()
     column.flags.writeable = False
     return column
@@ -156,23 +158,17 @@ class WaypointPath:
 def average_abs_jerk(traj: Trajectory) -> float:
     """Mean absolute third finite difference divided by dt^3.
 
-    The third-order stencil ``y[t+3] - 3 y[t+2] + 3 y[t+1] - y[t]`` has
+    The stencil (:func:`~nfgopt._kernels.third_difference`) has
     ``steps - 3`` valid windows; the average runs over them, with no
     padding. Units are value/s^3.
     """
-    y = traj.values
-    if y.shape[0] < 4:
-        raise ValueError(f"jerk needs at least 4 grid points, got {y.shape[0]}")
-    d3 = y[3:] - 3.0 * y[2:-1] + 3.0 * y[1:-2] - y[:-3]
+    d3 = third_difference(traj.values[:, 0])
     return float(np.abs(d3).mean() / traj.grid.dt**3)
 
 
 def path_length(traj: Trajectory) -> float:
     """Sum of absolute per-step increments."""
-    y = traj.values
-    if y.shape[0] < 2:
-        raise ValueError(f"path length needs at least 2 grid points, got {y.shape[0]}")
-    return float(np.abs(np.diff(y, axis=0)).sum())
+    return float(np.abs(np.diff(traj.values, axis=0)).sum())
 
 
 def unwrap_angles(path: WaypointPath) -> WaypointPath:
@@ -201,17 +197,21 @@ def arc_length_times(path: WaypointPath, duration: float) -> np.ndarray:
         If any segment has zero length (dedupe the path first) or the total
         arc length is zero.
     ConfigError
-        If ``duration`` is not positive.
+        If ``duration`` is not positive, or the total arc length overflows
+        to infinity.
     """
     if not (duration > 0.0 and np.isfinite(duration)):
         raise ConfigError(f"duration must be positive and finite, got {duration}")
-    seg = np.abs(np.diff(path.waypoints[:, 0]))
+    with np.errstate(over="ignore"):
+        seg = np.abs(np.diff(path.waypoints[:, 0]))
+        s = np.concatenate(([0.0], np.cumsum(seg)))
     if (seg == 0.0).any():
         raise DegeneratePathError(
             "zero-length segment between consecutive waypoints; dedupe the path first"
         )
-    s = np.concatenate(([0.0], np.cumsum(seg)))
     total = s[-1]
+    if not np.isfinite(total):
+        raise ConfigError("total arc length overflows to infinity")
     if total <= 0.0:
         raise DegeneratePathError("all waypoints identical: path has zero arc length")
     t = (s / total) * duration

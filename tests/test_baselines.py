@@ -5,6 +5,7 @@ from nfgopt.baselines import (
     ChompConfig,
     MppiConfig,
     StompConfig,
+    _outward_sign,
     _softmin_raw,
     _stomp_raw,
     chomp_gradient,
@@ -20,6 +21,7 @@ from nfgopt.environment import (
     batch_scores,
     narrow_passage_v1,
     penetration_profile,
+    penetration_step,
 )
 from nfgopt.errors import ConfigError
 from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
@@ -166,6 +168,61 @@ class TestChompGradient:
         rng = np.random.default_rng(6)
         signs = {chomp_gradient(y, env, SCORE, rng)[50] for _ in range(50)}
         assert signs == {-1.0, 1.0}
+
+    # y = 0.25 lies at depth 0.75 in [-1, 1], whose upper face is nearer
+    # (push +1), and in a second box over the same t-range whose lower face
+    # is nearer (push -1); the push is given for both listing orders
+    @pytest.mark.parametrize(
+        "second, in_order, reversed_order",
+        [
+            ((-0.25, 4.0), 1.0, 1.0),  # depth 0.5: the first box is deeper
+            ((-1.5, 4.0), -1.0, -1.0),  # depth 1.75: the second box is deeper
+            ((-0.5, 4.0), 1.0, -1.0),  # depth 0.75 in both: the first listed decides
+        ],
+    )
+    def test_overlapping_boxes_deepest_box_decides(self, second, in_order, reversed_order):
+        boxes = (BoxObstacle(0.4, 0.6, -1.0, 1.0), BoxObstacle(0.4, 0.6, *second))
+        y = traj_1d(GRID, np.full(100, 0.25))
+        for listed, sign in ((boxes, in_order), (boxes[::-1], reversed_order)):
+            grad = chomp_gradient(y, BoxEnvironment(listed), SCORE, np.random.default_rng(0))
+            push = np.zeros(100)
+            push[40:61] = sign
+            np.testing.assert_array_equal(grad, push)
+
+    def test_outward_sign_matches_box_loop(self):
+        # reference: loop over the boxes, keep the first deepest containing
+        # one, push toward its nearer face (0 marks a midpoint tie)
+        def loop_sign(boxes, t, y):
+            best = None
+            for b in boxes:
+                if b.t_lo <= t <= b.t_hi and b.y_lo <= y <= b.y_hi:
+                    depth = min(y - b.y_lo, b.y_hi - y)
+                    if best is None or depth > best[0]:
+                        best = (depth, b)
+            d_lo, d_hi = y - best[1].y_lo, best[1].y_hi - y
+            return float(np.sign(d_lo - d_hi))
+
+        rng = np.random.default_rng(3)
+        times = GRID.times()
+        checked = 0
+        for _ in range(200):
+            # quarter-unit faces and eighth-unit values make face and depth ties common
+            boxes = []
+            for _ in range(rng.integers(1, 5)):
+                t_lo, y_lo = rng.integers(0, 80) / 100, rng.integers(-8, 4) / 4
+                boxes.append(BoxObstacle(t_lo, t_lo + rng.integers(1, 40) / 100, y_lo, y_lo + rng.integers(1, 12) / 4))
+            env = BoxEnvironment(tuple(boxes))
+            table = env.box_table(times)
+            for b in boxes:
+                for column in np.flatnonzero((times >= b.t_lo) & (times <= b.t_hi)):
+                    y = rng.integers(8 * b.y_lo, 8 * b.y_hi + 1) / 8
+                    if penetration_step(env, times[column], y) == 0.0:
+                        continue  # on a face: CHOMP pushes only from inside
+                    expected = loop_sign(boxes, times[column], y)
+                    sign = _outward_sign(table, int(column), y, rng)
+                    assert sign == expected or (expected == 0.0 and sign in (-1.0, 1.0))
+                    checked += 1
+        assert checked > 5000
 
     def test_free_gradient_matches_finite_difference(self):
         grid = TimeGrid(0.08, 100.0)

@@ -100,6 +100,7 @@ class TestParseConfig:
             {"methods": [{"name": "chomp"}], "reg": 0.5},
             {"methods": [{"name": "chomp"}], "seeds": [0, 0]},
             {"methods": [{"name": "chomp"}], "score": {"n_pow": 100.0}},
+            {"methods": [{"name": "nfg", "normalize_step": True}]},
         ],
     )
     def test_invalid(self, raw):
@@ -253,6 +254,9 @@ class TestRunBenchmark:
             assert free == record.success
 
 
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
 class TestNonFiniteUpdate:
     # Wiener noise this large overflows the rollout costs, so the softmin
     # weights, and with them the first update, are NaN.
@@ -534,6 +538,18 @@ class TestCli:
         args = ["evaluate", "--path", str(src), "--env", "free-space", "--horizon", "1.0", "--rate", "100.0"]
         assert main(args + ["--angular"]) == 2
         assert "1-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["0.0\nnan\n1.0\n", "0.0\ninf\n", "-inf\n0.0\n", "0.0\n1e308\n-1e308\n"],
+        ids=["nan", "inf", "-inf", "arc-length-overflow"],
+    )
+    def test_evaluate_non_finite_input_exits_2(self, tmp_path, capsys, rows):
+        src = tmp_path / "bad.csv"
+        src.write_text(rows)
+        args = ["evaluate", "--path", str(src), "--env", "free-space", "--horizon", "1.0", "--rate", "100.0"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("cell", ["True", "yes", "1", "", "false "])
     def test_summarize_rejects_success_other_than_true_false(self, tmp_path, capsys, cell):

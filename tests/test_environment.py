@@ -128,6 +128,15 @@ class TestTrajectoryScore:
         expected = np.exp(-SCORE.lambda_jerk * average_abs_jerk(traj))
         assert trajectory_score(env, traj, SCORE) == pytest.approx(expected, rel=1e-12)
 
+    def test_free_batch_score_is_exactly_the_jerk_score(self):
+        # one stencil: the scoring kernel and average_abs_jerk agree bit for bit
+        rng = np.random.default_rng(11)
+        env = BoxEnvironment(())
+        values = rng.normal(size=(20, 100))
+        scores = batch_scores(env, values, GRID.times(), GRID.dt, SCORE)
+        for row, score in zip(values, scores):
+            assert score == np.exp(-SCORE.lambda_jerk * average_abs_jerk(traj_1d(row)))
+
     def test_scale_separation(self):
         # dip under the first two boxes, then thread the gap at the end
         times = GRID.times()

@@ -191,6 +191,11 @@ class TestArcLengthTimes:
         with pytest.raises(ConfigError):
             arc_length_times(WaypointPath(np.array([0.0, 1.0])), 0.0)
 
+    def test_overflowing_arc_length_rejected_without_warning(self):
+        # the segment from 1e308 to -1e308 overflows; numpy warnings fail tests
+        with pytest.raises(ConfigError, match="overflows"):
+            arc_length_times(WaypointPath(np.array([0.0, 1e308, -1e308])), 1.0)
+
 
 class TestResample:
     def test_linear_segment_midpoint(self):
