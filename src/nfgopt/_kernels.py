@@ -8,7 +8,8 @@ y_lo, y_hi``. Per grid column the table holds the y-intervals of the boxes
 whose closed t-range covers that column, so a penetration call costs a
 fixed few array operations whatever the number of boxes. Containment is
 closed on all faces and the penetration depth at a face is 0, which keeps
-the score continuous.
+the score continuous. Batch scoring computes the jerk stencil only for the
+rows it scores by jerk, the collision-free ones.
 """
 
 from __future__ import annotations
@@ -80,8 +81,12 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable) -> np.ndarray
 def third_difference(values: np.ndarray) -> np.ndarray:
     """``v[t+3] - 3 v[t+2] + 3 v[t+1] - v[t]`` along the last axis, which
     has ``n - 3`` windows for ``n`` points: the jerk stencil every method
-    scores with."""
-    return values[..., 3:] - 3.0 * values[..., 2:-1] + 3.0 * values[..., 1:-2] - values[..., :-3]
+    scores with. Evaluated as ``((v3 - 3 v2) + 3 v1) - v0`` into one output
+    buffer."""
+    out = np.multiply(values[..., 2:-1], 3.0)
+    np.subtract(values[..., 3:], out, out=out)
+    out += np.multiply(values[..., 1:-2], 3.0)
+    return np.subtract(out, values[..., :-3], out=out)
 
 
 # Scoring keeps its own reference, so rebinding the public name (as a
@@ -91,9 +96,22 @@ _profile = penetration_profile_batch
 
 def batch_scores(values: np.ndarray, table: BoxTable, lambda_jerk: float, dt: float) -> np.ndarray:
     """Mean penetration for colliding rows, exp(-lambda_jerk * mean
-    |third finite difference| / dt^3) for collision-free ones; (B, m) -> (B,)."""
+    |third finite difference| / dt^3) for collision-free ones; (B, m) -> (B,).
+
+    The jerk is computed only for the collision-free rows, and a table that
+    covers no column skips the penetration pass. Each row reduces along the
+    contiguous last axis on its own, so a row scores the same in any batch.
+    """
+    if table.c1 == table.c0:
+        return _jerk_bonus(values, lambda_jerk, dt)
     s = _profile(values, table)
-    colliding = (s < 0.0).any(axis=1)
-    penalty = s.mean(axis=1)
-    bonus = np.exp(-lambda_jerk * (np.abs(third_difference(values)).mean(axis=1) / dt**3))
-    return np.where(colliding, penalty, bonus)
+    scores = s.mean(axis=1)
+    free = ~(s < 0.0).any(axis=1)
+    if free.any():
+        scores[free] = _jerk_bonus(values[free], lambda_jerk, dt)
+    return scores
+
+
+def _jerk_bonus(values: np.ndarray, lambda_jerk: float, dt: float) -> np.ndarray:
+    """exp(-lambda_jerk * mean |third difference| / dt^3) per row."""
+    return np.exp(-lambda_jerk * (np.abs(third_difference(values)).mean(axis=1) / dt**3))

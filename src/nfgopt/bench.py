@@ -365,7 +365,8 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "
     specs, seeds = zip(*itertools.product(bench.methods, bench.seeds))
     args = (specs, seeds, itertools.repeat(bench), itertools.repeat(factor), itertools.repeat(out_dir))
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        # A fork-started pool forks all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(parallel, len(specs))) as pool:
             records = list(pool.map(run_single, *args))
     else:
         records = list(map(run_single, *args))
@@ -552,12 +553,17 @@ def evaluate_external(
     duplicate waypoints, assign arc-length-proportional timestamps over the
     grid horizon, linearly resample onto the grid, then validate
     penetration at every grid point. Parse failures and degenerate paths
-    raise ConfigError or DegeneratePathError.
+    raise ConfigError or DegeneratePathError, and so does a resampled path
+    whose average jerk is not finite.
     """
     score_cfg = score_cfg or ScoreConfig()
     path = unwrap_angles(WaypointPath(load_waypoints(path_file), angular)).dedupe()
     timestamps = arc_length_times(path, grid.horizon_seconds)
     traj = resample(path, timestamps, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jerk = average_abs_jerk(traj)
+    if not np.isfinite(jerk):
+        raise ConfigError("the resampled path's average jerk overflows; the waypoints are too large")
     profile = penetration_profile(env, traj)
     colliding = np.flatnonzero(profile < 0.0)
     success = colliding.size == 0
@@ -566,7 +572,7 @@ def evaluate_external(
         source=path_file,
         success=success,
         path_length=path_length(traj),
-        avg_jerk=average_abs_jerk(traj) if success else None,
+        avg_jerk=jerk if success else None,
         first_collision_time=first_hit,
         score=trajectory_score(env, traj, score_cfg),
     )

@@ -14,11 +14,14 @@ Philox engine keyed on ``(seed, stream)``, and a batch of ``count`` rows
 is one ``standard_normal((count, width))`` draw from it, filled row by
 row. A batch is thus a pure function of ``(seed, stream, count, width)``,
 and a smaller batch of the same width is a prefix of a larger one. The
-optimizers use iteration k's substream for iteration k.
+optimizers use iteration k's substream for iteration k. Each sampler holds
+one engine and resets it to a new engine's state on every call, which gives
+the same stream without building an engine per call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +131,10 @@ class PerturbationSampler:
     drawn from r standard normals, with covariance F F^T. ``stream``
     partitions the seed into independent substreams, each read from its
     start by every call. Two calls with the same stream return identical
-    output, and a call for fewer rows returns a prefix of a call for more;
-    the sampler holds no mutable state.
+    output, and a call for fewer rows returns a prefix of a call for more.
+    The sampler's one Philox engine is reset on every call, behind a lock;
+    it is not a field, so equality, repr and pickling see only ``factor``
+    and ``seed``.
     """
 
     factor: np.ndarray
@@ -137,15 +142,24 @@ class PerturbationSampler:
 
     def __post_init__(self) -> None:
         _check_uint64(self.seed, "seed")
+        object.__setattr__(self, "_engine", Generator(Philox(0)))
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    def __reduce__(self):
+        # Pickle the fields alone: the copy builds its own engine and lock.
+        return PerturbationSampler, (self.factor, self.seed)
 
     def normals(self, count: int, width: int, stream: int) -> np.ndarray:
         """Raw standard-normal block of shape (count, width).
 
-        One ``standard_normal((count, width))`` call on a fresh Philox
-        engine keyed on (seed, stream), so row ``s`` holds the stream's
-        draws ``s*width`` to ``(s+1)*width - 1``. This is the i.i.d. source
-        underlying :meth:`sample`; consumers that need unsmoothed noise
-        (Wiener-process rollouts) use it directly.
+        One ``standard_normal((count, width))`` call on the sampler's
+        Philox engine, set first to the state a new engine keyed on
+        (seed, stream) starts from, so row ``s`` holds the stream's draws
+        ``s*width`` to ``(s+1)*width - 1``. A private lock spans the reset
+        and the draw, so a sampler shared between threads returns the same
+        draws. This is the i.i.d. source underlying :meth:`sample`;
+        consumers that need unsmoothed noise (Wiener-process rollouts) use
+        it directly.
         """
         _check_integer(count, "count")
         _check_integer(width, "width")
@@ -155,7 +169,18 @@ class PerturbationSampler:
             raise ConfigError(f"width must be at least 1, got {width}")
         _check_uint64(stream, "stream")
         key = np.array([self.seed, stream], dtype=np.uint64)
-        return Generator(Philox(key=key)).standard_normal((count, width))
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        # Not the bit generator's own lock: standard_normal takes that one.
+        with self._lock:
+            self._engine.bit_generator.state = state
+            return self._engine.standard_normal((count, width))
 
     def sample(self, count: int, stream: int) -> np.ndarray:
         """Draw ``count`` unit-scale smooth perturbations, shape (count, m):

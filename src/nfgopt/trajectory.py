@@ -180,7 +180,11 @@ def unwrap_angles(path: WaypointPath) -> WaypointPath:
     """
     if not path.angular:
         return path
-    return WaypointPath(np.unwrap(path.waypoints[:, 0]), True)
+    # A difference that overflows makes a non-finite value, which
+    # WaypointPath rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        unwrapped = np.unwrap(path.waypoints[:, 0])
+    return WaypointPath(unwrapped, True)
 
 
 def arc_length_times(path: WaypointPath, duration: float) -> np.ndarray:

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from nfgopt.errors import ConfigError, DegeneratePathError, NonFiniteStepError
 from nfgopt.nfg import IterationTrace
 from nfgopt.sampling import factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, Trajectory, read_trajectory_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINI_RAW = {
     "environment": "narrow-passage-v1",
@@ -241,6 +245,35 @@ class TestRunBenchmark:
         serial = run_benchmark(cfg, parallel=1, out_dir=None)
         parallel = run_benchmark(cfg, parallel=2, out_dir=None)
         assert [strip_runtime(r) for r in serial] == [strip_runtime(r) for r in parallel]
+
+    def test_workers_capped_at_the_number_of_runs(self, monkeypatch):
+        # a stand-in pool records max_workers and maps serially, so no
+        # process starts
+        import nfgopt.bench as bench_mod
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        workers = []
+        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", SerialPool)
+        raw = json.loads((ROOT / "configs" / "narrow_passage.json").read_text())
+        for method in raw["methods"]:
+            method["iterations"] = 2
+        cfg = parse_config(raw)
+        serial = run_benchmark(cfg, parallel=1, out_dir=None)
+        pooled = run_benchmark(cfg, parallel=10**6, out_dir=None)
+        assert workers == [20] == [len(serial)]
+        assert [strip_runtime(r) for r in pooled] == [strip_runtime(r) for r in serial]
 
     def test_final_trajectory_reproduces_recorded_success(self, tmp_path):
         cfg = mini_config()
@@ -550,6 +583,27 @@ class TestCli:
         args = ["evaluate", "--path", str(src), "--env", "free-space", "--horizon", "1.0", "--rate", "100.0"]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_evaluate_overflowing_jerk_exits_2(self, tmp_path, capsys):
+        # finite waypoints and arc length, but the jerk stencil overflows
+        src = tmp_path / "huge.csv"
+        src.write_text("0\n1e308\n")
+        args = ["evaluate", "--path", str(src), "--env", "narrow-passage-v1", "--horizon", "1", "--rate", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "jerk" in captured.err
+        assert captured.out == ""
+
+    def test_evaluate_angular_overflow_exits_2_without_warnings(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        src.write_text("0\n1e308\n-1e308\n")
+        args = ["evaluate", "--path", str(src), "--env", "narrow-passage-v1", "--horizon", "1", "--rate", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args + ["--angular"]) == 2
+        assert capsys.readouterr().err == "error: waypoints must be finite\n"
 
     @pytest.mark.parametrize("cell", ["True", "yes", "1", "", "false "])
     def test_summarize_rejects_success_other_than_true_false(self, tmp_path, capsys, cell):

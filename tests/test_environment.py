@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nfgopt._kernels as _kernels
+from nfgopt.baselines import _collision_free
 from nfgopt.bench import METHODS, parse_config, run_single
 from nfgopt.environment import (
     BoxEnvironment,
@@ -287,3 +288,89 @@ class TestBoxTable:
     def test_scores_need_one_time_per_grid_point(self):
         with pytest.raises(ValueError, match="one time per grid point"):
             batch_scores(ENV, np.zeros((2, 100)), GRID.times()[:-1], GRID.dt, SCORE)
+
+
+def all_rows_scores(values, table, lambda_jerk, dt):
+    """Reference scores: the stencil written out and the jerk bonus computed
+    for every row, then selected by ``np.where``."""
+    s = _kernels.penetration_profile_batch(values, table)
+    colliding = (s < 0.0).any(axis=1)
+    d3 = values[:, 3:] - 3.0 * values[:, 2:-1] + 3.0 * values[:, 1:-2] - values[:, :-3]
+    bonus = np.exp(-lambda_jerk * (np.abs(d3).mean(axis=1) / dt**3))
+    return np.where(colliding, s.mean(axis=1), bonus)
+
+
+def scoring_rows(kind, batch, seed):
+    """``batch`` rows on GRID: ``colliding`` (near 0, inside a box of the
+    narrow passage and the overlapping set), ``free`` (far above every box),
+    ``mixed`` (half of each) or ``special`` (mixed, with points on box faces
+    and NaN and +-inf values)."""
+    rng = np.random.default_rng(seed)
+    colliding = rng.normal(scale=0.1, size=(batch, 100))
+    free = 20.0 + rng.normal(scale=1e-4, size=(batch, 100))
+    if kind == "colliding":
+        return colliding
+    if kind == "free":
+        return free
+    values = np.where(rng.random(batch)[:, None] < 0.5, colliding, free)
+    if kind == "special":
+        faces = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
+        on_face = rng.random(values.shape) < 0.2
+        values[on_face] = rng.choice(faces, size=on_face.sum())
+        odd = rng.random(values.shape) < 0.05
+        values[odd] = rng.choice([np.nan, np.inf, -np.inf], size=odd.sum())
+    return values
+
+
+class TestScoringComputesOnlyWhatIsRead:
+    CASES = [
+        (name, kind, batch)
+        for name in sorted(TestBoxTable.ENVIRONMENTS)
+        for kind in ("colliding", "free", "mixed", "special")
+        for batch in (1, 100)
+    ]
+
+    @pytest.mark.parametrize("name, kind, batch", CASES)
+    def test_batch_scores_equal_all_rows_reference(self, name, kind, batch):
+        table = TestBoxTable.ENVIRONMENTS[name].box_table(GRID.times())
+        values = scoring_rows(kind, batch, seed=batch)
+        with np.errstate(all="ignore"):
+            expected = all_rows_scores(values, table, SCORE.lambda_jerk, GRID.dt)
+            got = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_inputs_cover_both_branches(self):
+        table = ENV.box_table(GRID.times())
+        for kind, free_rows in (("colliding", 0), ("free", 100)):
+            scores = _kernels.batch_scores(scoring_rows(kind, 100, 0), table, SCORE.lambda_jerk, GRID.dt)
+            assert (scores > 0.0).sum() == free_rows
+        scores = _kernels.batch_scores(scoring_rows("mixed", 100, 0), table, SCORE.lambda_jerk, GRID.dt)
+        assert 0 < (scores > 0.0).sum() < 100
+
+    @pytest.mark.parametrize("shape", [(100,), (7, 100), (2, 3, 9)])
+    def test_third_difference_equals_written_out_stencil(self, shape):
+        v = np.random.default_rng(3).normal(scale=50.0, size=shape)
+        expected = v[..., 3:] - 3.0 * v[..., 2:-1] + 3.0 * v[..., 1:-2] - v[..., :-3]
+        assert _kernels.third_difference(v).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name, kind, batch", CASES)
+    def test_baseline_feasibility_equals_zero_profile(self, name, kind, batch):
+        env = TestBoxTable.ENVIRONMENTS[name]
+        table = env.box_table(GRID.times())
+        feasible = _collision_free(env, GRID.times())
+        for v in scoring_rows(kind, batch, seed=batch + 1):
+            with np.errstate(all="ignore"):
+                expected = bool((_kernels.penetration_profile_batch(v[None], table)[0] == 0.0).all())
+            assert feasible(v) is expected
+
+    def test_feasibility_on_faces_and_non_finite_values(self):
+        t = GRID.times()
+        feasible = _collision_free(ENV, t)
+        # -1 and 2 are faces of the first two boxes, -0.5 of the last
+        on_faces = np.select([(t >= 0.2) & (t <= 0.25), (t >= 0.4) & (t <= 0.6)], [-1.0, 2.0], -0.5)
+        assert feasible(on_faces)
+        inside = on_faces.copy()
+        inside[50] = 1.9
+        assert not feasible(inside)
+        for odd in (np.nan, np.inf, -np.inf):
+            assert feasible(np.full(100, odd))

@@ -1,3 +1,7 @@
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -209,6 +213,94 @@ class TestPerturbationSampler:
         sampler = PerturbationSampler(bench_factor(), seed=0)
         with pytest.raises(ConfigError):
             sampler.normals(3, width, stream)
+
+
+
+def new_engine_normals(seed, stream, count, width):
+    key = np.array([seed, stream], dtype=np.uint64)
+    return Generator(Philox(key=key)).standard_normal((count, width))
+
+
+class TestOneEnginePerSampler:
+    # each call resets the sampler's one engine to a new engine's state
+
+    @pytest.mark.parametrize(
+        "before",
+        [
+            [],
+            [("normals", 3, 5, 1)],  # 15 draws leave Philox's 4-word buffer partly used
+            [("normals", 100, 12, 0), ("normals", 7, 100, 9)],
+            [("sample", 4, 2)],
+            [("normals", 1, 1, 2**64 - 1), ("sample", 3, 0), ("normals", 5, 3, 1)],
+        ],
+        ids=["new", "odd-count-times-width", "other-widths", "sample", "mixed"],
+    )
+    @pytest.mark.parametrize("count, width, stream", [(100, 12, 1), (5, 3, 1), (1, 100, 0)])
+    def test_equals_a_new_engine_after_any_earlier_calls(self, before, count, width, stream):
+        sampler = PerturbationSampler(bench_factor(), seed=13)
+        for call, *args in before:
+            getattr(sampler, call)(*args)
+        expected = new_engine_normals(13, stream, count, width)
+        assert sampler.normals(count, width, stream).tobytes() == expected.tobytes()
+
+    def test_reset_leaves_the_state_a_new_engine_would(self):
+        # a 32-bit draw leaves a pending half word that standard_normal
+        # never reads; the reset clears it too
+        sampler = PerturbationSampler(bench_factor(), seed=13)
+        sampler.normals(3, 5, 1)
+        sampler._engine.integers(0, 10, size=3, dtype=np.uint32)
+        assert sampler._engine.bit_generator.state["has_uint32"] == 1
+        sampler.normals(4, 3, 2)
+        engine = Generator(Philox(key=np.array([13, 2], dtype=np.uint64)))
+        engine.standard_normal((4, 3))
+        assert repr(sampler._engine.bit_generator.state) == repr(engine.bit_generator.state)
+
+    def test_threads_sharing_a_sampler_get_new_engine_draws(self):
+        # four threads on two cores, interleaving streams with frequent
+        # thread switches: a reset another thread makes between this
+        # thread's reset and draw shows as a wrong block
+        sampler = PerturbationSampler(bench_factor(), seed=17)
+        streams = {thread: range(thread, 16, 4) for thread in range(4)}
+        expected = {s: new_engine_normals(17, s, 100, 100) for s in range(16)}
+        start = threading.Barrier(len(streams), timeout=30)
+        wrong = []
+
+        def draw(thread):
+            start.wait()
+            for _ in range(10):
+                for stream in streams[thread]:
+                    if not np.array_equal(sampler.normals(100, 100, stream), expected[stream]):
+                        wrong.append((thread, stream))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=draw, args=(thread,)) for thread in streams]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+
+    def test_used_sampler_equals_a_new_one(self):
+        fac = bench_factor()
+        fresh, used = PerturbationSampler(fac, seed=19), PerturbationSampler(fac, seed=19)
+        pickled = pickle.dumps(fresh)
+        used.sample(5, 3)
+        used.normals(3, 7, 1)
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickled
+
+    def test_unpickled_sampler_draws_the_same(self):
+        sampler = PerturbationSampler(bench_factor(), seed=23)
+        sampler.normals(3, 5, 1)
+        clone = pickle.loads(pickle.dumps(sampler))
+        assert clone._engine is not sampler._engine
+        assert np.array_equal(clone.normals(6, 12, 4), new_engine_normals(23, 4, 6, 12))
 
 
 RATE_RANKS = [(50.0, 12), (100.0, 12), (200.0, 13), (400.0, 13)]
