@@ -5,8 +5,10 @@ The kernels vectorize over the batch axis with numpy. They read the boxes
 from a :class:`BoxTable`, which :func:`box_table` builds once per time grid
 from a float64 array of shape ``(n_boxes, 4)`` with columns ``t_lo, t_hi,
 y_lo, y_hi``. Per grid column the table holds the y-intervals of the boxes
-whose closed t-range covers that column, so a penetration call costs a
-fixed few array operations whatever the number of boxes. Containment is
+whose closed t-range covers that column, in J slots (J is the most boxes
+covering one column), so a penetration call costs a few array operations
+per slot, each over (B, w) values for the w covered columns, whatever the
+number of boxes. Containment is
 closed on all faces and the penetration depth at a face is 0, which keeps
 the score continuous. Batch scoring computes the jerk stencil only for the
 rows it scores by jerk, the collision-free ones.
@@ -64,16 +66,21 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable) -> np.ndarray
     """
     c0, c1, lo, hi = table
     if c1 == c0:
-        return np.zeros_like(values)
-    v = values[:, None, c0:c1]
-    # Deepest containment per point: negative in no box, NaN for a NaN
-    # value, and fmax maps both to 0.
-    depth = np.minimum(v - lo, hi - v).max(axis=1)
-    # Allocated after the (B, J, w) temporaries are freed. Allocated before
-    # them, it leaves them at the top of the heap, where glibc's malloc
-    # returns their pages on free and faults them back in on the next call:
-    # 82 page faults and 2.7x the time per B=100 call on a 2-core VM.
-    s = np.zeros_like(values)
+        return np.zeros(values.shape)
+    # One slot at a time on a contiguous copy of the covered columns, with
+    # (B, w) temporaries: the deepest containment per point, negative in no
+    # box and NaN for a NaN value. The maximum over slots is exact, so the
+    # order of the slots does not change it.
+    v = values[:, c0:c1].copy()
+    depth = np.minimum(v - lo[0], hi[0] - v)
+    for j in range(1, lo.shape[0]):
+        np.maximum(depth, np.minimum(v - lo[j], hi[j] - v), out=depth)
+    # Allocated after the slot temporaries are freed, so it reuses their
+    # heap space: without bench's 1 MiB warm-up block (bench._warm_kernels),
+    # a packaged sweep takes about 150 minor page faults in this order and
+    # 180 with the result allocated first (2-core VM).
+    s = np.zeros(values.shape)
+    # fmax maps negative depths and NaN to 0.
     np.negative(np.fmax(depth, 0.0, out=depth), out=s[:, c0:c1])
     return s
 
@@ -105,13 +112,22 @@ def batch_scores(values: np.ndarray, table: BoxTable, lambda_jerk: float, dt: fl
     if table.c1 == table.c0:
         return _jerk_bonus(values, lambda_jerk, dt)
     s = _profile(values, table)
-    scores = s.mean(axis=1)
-    free = ~(s < 0.0).any(axis=1)
-    if free.any():
+    # add.reduce / n is what .mean computes, without its Python wrapper.
+    # A sum of finite entries <= 0 is negative exactly when one entry is:
+    # adding zeros is exact, and a sum of negatives never rounds to 0.
+    total = np.add.reduce(s, axis=1)
+    free = total == 0.0
+    scores = total / s.shape[1]
+    if np.logical_or.reduce(free):
         scores[free] = _jerk_bonus(values[free], lambda_jerk, dt)
     return scores
 
 
 def _jerk_bonus(values: np.ndarray, lambda_jerk: float, dt: float) -> np.ndarray:
-    """exp(-lambda_jerk * mean |third difference| / dt^3) per row."""
-    return np.exp(-lambda_jerk * (np.abs(third_difference(values)).mean(axis=1) / dt**3))
+    """exp(-lambda_jerk * mean |third difference| / dt^3) per row, evaluated
+    in place in that order."""
+    d3 = third_difference(values)
+    jerk = np.add.reduce(np.abs(d3, out=d3), axis=1) / d3.shape[1]
+    jerk /= dt**3
+    jerk *= -lambda_jerk
+    return np.exp(jerk, out=jerk)

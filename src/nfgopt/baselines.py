@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .environment import BoxEnvironment, ScoreConfig, batch_scores, trajectory_score
 from .errors import ConfigError
-from .nfg import IterationTrace, _iterate, _Step
+from .nfg import IterationTrace, _iterate, _norm, _Step
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
 
@@ -40,15 +40,18 @@ def _collision_free(env: BoxEnvironment, times: np.ndarray):
 
     def feasible(values: np.ndarray) -> bool:
         v = values[c0:c1]
-        return not ((lo < v) & (v < hi)).any()
+        return not np.logical_or.reduce((lo < v) & (v < hi), axis=None)
 
     return feasible
 
 
 def _reweighted(raw: np.ndarray, eps: np.ndarray, best_score: float) -> _Step:
-    """Step along the perturbations averaged with normalized ``raw`` weights."""
-    update = (raw / raw.sum()) @ eps
-    return _Step(update, best_score, float(raw.mean()), float(np.linalg.norm(update)))
+    """Step along the perturbations averaged with normalized ``raw`` weights.
+    Calls the ufunc reductions directly: add.reduce / n is what .mean
+    computes."""
+    total = np.add.reduce(raw)
+    update = (raw / total) @ eps
+    return _Step(update, best_score, float(total / raw.shape[0]), _norm(update))
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +90,9 @@ class StompConfig:
 def _stomp_raw(costs: np.ndarray, temperature: float) -> np.ndarray:
     """Unnormalized exponential weights over per-sample costs (lower is better)."""
     costs = np.asarray(costs, dtype=np.float64)
-    spread = costs.max() - costs.min()
-    return np.exp(-temperature * (costs - costs.min()) / (spread + _DELTA))
+    lowest = np.minimum.reduce(costs, axis=None)
+    spread = np.maximum.reduce(costs, axis=None) - lowest
+    return np.exp(-temperature * (costs - lowest) / (spread + _DELTA))
 
 
 def stomp_optimize(
@@ -104,9 +108,10 @@ def stomp_optimize(
     dt = y0.grid.dt
 
     def reweight(values: np.ndarray, k: int) -> _Step:
-        eps = cfg.sigma * sampler.sample(cfg.batch, k)
+        eps = sampler.sample(cfg.batch, k)
+        eps *= cfg.sigma
         scores = batch_scores(env, values[None, :] + eps, times, dt, score_cfg)
-        return _reweighted(_stomp_raw(1.0 - scores, cfg.temperature), eps, float(scores.max()))
+        return _reweighted(_stomp_raw(1.0 - scores, cfg.temperature), eps, float(np.maximum.reduce(scores)))
 
     values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), reweight)
     return Trajectory(y0.grid, values), traces
@@ -213,7 +218,7 @@ def chomp_optimize(
         current = Trajectory(y0.grid, values)
         score = trajectory_score(env, current, score_cfg)
         direction = chomp_gradient(current, env, score_cfg, rng)
-        return _Step(cfg.step * direction, score, 0.0, float(np.linalg.norm(direction)))
+        return _Step(cfg.step * direction, score, 0.0, _norm(direction))
 
     values, traces = _iterate(
         values0, cfg.iterations, cfg.early_stop, _collision_free(env, y0.times()), descend
@@ -269,7 +274,18 @@ class MppiConfig:
 def _softmin_raw(costs: np.ndarray, temperature: float) -> np.ndarray:
     """Unnormalized exp(-(J - J_min) / temperature); the lowest cost weighs most."""
     costs = np.asarray(costs, dtype=np.float64)
-    return np.exp(-(costs - costs.min()) / temperature)
+    return np.exp(-(costs - np.minimum.reduce(costs, axis=None)) / temperature)
+
+
+def _rollout_costs(candidates: np.ndarray, pen: np.ndarray, cfg: MppiConfig) -> np.ndarray:
+    """weight_obs * sum(-pen) + weight_goal * sum((candidates - goal)^2) per
+    row, squaring in place in ``candidates``, which it overwrites. The
+    obstacle term negates the sum of ``pen``: rounding to nearest commutes
+    with negation, and the goal term, never -0, absorbs the sign of a zero
+    sum, so the costs equal the term-by-term formula bit for bit."""
+    obstacle = np.negative(np.add.reduce(pen, axis=1))
+    np.square(np.subtract(candidates, cfg.goal, out=candidates), out=candidates)
+    return cfg.weight_obs * obstacle + cfg.weight_goal * np.add.reduce(candidates, axis=1)
 
 
 def wiener_noise(sampler: PerturbationSampler, count: int, steps: int, scale: float, stream: int) -> np.ndarray:
@@ -279,9 +295,10 @@ def wiener_noise(sampler: PerturbationSampler, count: int, steps: int, scale: fl
     first increment zeroed, so every path starts at 0 and var(eps_t) grows
     linearly in t.
     """
-    increments = scale * sampler.normals(count, steps, stream)
+    increments = sampler.normals(count, steps, stream)
+    increments *= scale
     increments[:, 0] = 0.0
-    return np.cumsum(increments, axis=1)
+    return np.add.accumulate(increments, axis=1, out=increments)
 
 
 def mppi_optimize(
@@ -307,10 +324,8 @@ def mppi_optimize(
         eps = wiener_noise(sampler, cfg.rollouts, m, scale, k)
         candidates = values[None, :] + eps
         pen = _kernels.penetration_profile_batch(candidates, table)
-        costs = cfg.weight_obs * (-pen).sum(axis=1) + cfg.weight_goal * (
-            (candidates - cfg.goal) ** 2
-        ).sum(axis=1)
-        return _reweighted(_softmin_raw(costs, cfg.temperature), eps, float(-costs.min()))
+        costs = _rollout_costs(candidates, pen, cfg)
+        return _reweighted(_softmin_raw(costs, cfg.temperature), eps, float(-np.minimum.reduce(costs)))
 
     values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), rollout)
     return Trajectory(y0.grid, values), traces

@@ -27,7 +27,6 @@ import os
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ from .environment import (
 )
 from .errors import ConfigError, DegeneratePathError, NonFiniteStepError
 from .nfg import IterationTrace, NfgConfig, optimize
-from .sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix, principal_factor
+from .sampling import PerturbationSampler, SEKernel, _check_integer, factorize, kernel_matrix, principal_factor
 from .trajectory import (
     TimeGrid,
     Trajectory,
@@ -352,12 +351,17 @@ def run_single(
 def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "") -> list[RunRecord]:
     """Run every (method, seed) pair and write records.csv plus summary.csv.
 
-    ``parallel`` > 1 spreads runs over worker processes; record content is
+    ``parallel`` > 1 spreads runs over worker processes (at most one per
+    run); anything but an integer of at least 1, a bool included, is a
+    :class:`ConfigError` raised before any run starts. Record content is
     identical at any level because each run's randomness is fixed by
     (method, seed) alone. ``out_dir`` of "" uses the config's output_dir;
     None disables artifact writing and returns records only. Every run
     samples from one :func:`principal_factor` of the kernel, built here.
     """
+    _check_integer(parallel, "parallel")
+    if parallel < 1:
+        raise ConfigError(f"parallel must be at least 1, got {parallel}")
     if out_dir == "":
         out_dir = bench.output_dir
     K = kernel_matrix(bench.grid, bench.kernel)
@@ -365,6 +369,9 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "
     specs, seeds = zip(*itertools.product(bench.methods, bench.seeds))
     args = (specs, seeds, itertools.repeat(bench), itertools.repeat(factor), itertools.repeat(out_dir))
     if parallel > 1:
+        # Imported here, so that importing nfgopt skips multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A fork-started pool forks all its workers at the first submit.
         with ProcessPoolExecutor(max_workers=min(parallel, len(specs))) as pool:
             records = list(pool.map(run_single, *args))

@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = bench_mod.load_config(args.config)
-    if args.parallel < 1:
-        raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     out_dir = args.out if args.out is not None else cfg.output_dir
     records = bench_mod.run_benchmark(cfg, parallel=args.parallel, out_dir=out_dir)
     print(bench_mod.format_summary(bench_mod.aggregate(records)))

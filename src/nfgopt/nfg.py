@@ -23,6 +23,7 @@ the package runs; the baselines supply only their update rules.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -107,6 +108,12 @@ class _Step(NamedTuple):
     norm: float
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array: the path ``np.linalg.norm`` takes for
+    one, without its checks."""
+    return math.sqrt(x.dot(x))
+
+
 def batch_weights(scores: np.ndarray, n_pow: float, weight_mode: str) -> np.ndarray:
     """Per-sample weights exp(n_pow * score) in the requested mode.
 
@@ -115,7 +122,7 @@ def batch_weights(scores: np.ndarray, n_pow: float, weight_mode: str) -> np.ndar
     only happen when the whole batch scored -inf.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    finite_max = scores.max()
+    finite_max = np.maximum.reduce(scores, axis=None)
     if finite_max == -np.inf:
         raise DegenerateBatchError("every sample in the batch scored -inf")
     if weight_mode == "shifted":
@@ -165,13 +172,18 @@ def estimate_direction(
         raise ConfigError(
             f"mu has shape {mu_values.shape} but the covariance factor is {sampler.factor.shape}"
         )
-    eps = cfg.sigma * sampler.sample(cfg.batch, stream)
+    eps = sampler.sample(cfg.batch, stream)
+    eps *= cfg.sigma
     scores = np.asarray(objective(mu_values[None, :] + eps), dtype=np.float64)
     if scores.shape != (cfg.batch,):
         raise ValueError(f"objective returned shape {scores.shape}, expected ({cfg.batch},)")
     weights = batch_weights(scores, cfg.n_pow, cfg.weight_mode)
     direction = (weights @ eps) / (cfg.batch * cfg.sigma**2)
-    stats = {"best_score": float(scores.max()), "mean_weight": float(weights.mean())}
+    # The ufunc reductions without the ndarray methods' Python wrappers.
+    stats = {
+        "best_score": float(np.maximum.reduce(scores)),
+        "mean_weight": float(np.add.reduce(weights) / cfg.batch),
+    }
     return direction, stats
 
 
@@ -206,7 +218,7 @@ def _iterate(
         if step.delta is not None:
             values = values + step.delta
             values[0] = start
-            if not np.isfinite(values).all():
+            if not np.logical_and.reduce(np.isfinite(values)):
                 raise NonFiniteStepError(k)
         traces.append(
             IterationTrace(
@@ -241,7 +253,7 @@ def optimize_objective(
             direction, stats = estimate_direction(values, objective, sampler, cfg, k)
         except DegenerateBatchError:
             return _Step(None, -np.inf, 0.0, 0.0)
-        norm = float(np.linalg.norm(direction))
+        norm = _norm(direction)
         direction = direction / (norm + _NORM_EPS)
         return _Step(cfg.eta(k) * direction, stats["best_score"], stats["mean_weight"], norm)
 

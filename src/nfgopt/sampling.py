@@ -123,7 +123,7 @@ def principal_factor(L: np.ndarray, reg: float) -> np.ndarray:
     return F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationSampler:
     """Deterministic source of unit-scale smooth perturbations F @ z.
 
@@ -133,8 +133,9 @@ class PerturbationSampler:
     start by every call. Two calls with the same stream return identical
     output, and a call for fewer rows returns a prefix of a call for more.
     The sampler's one Philox engine is reset on every call, behind a lock;
-    it is not a field, so equality, repr and pickling see only ``factor``
-    and ``seed``.
+    it is not a field, so equality, hashing, repr and pickling see only
+    ``factor`` and ``seed``. Two samplers are equal when their seeds are
+    equal and their factors have the same shape and entries.
     """
 
     factor: np.ndarray
@@ -144,6 +145,15 @@ class PerturbationSampler:
         _check_uint64(self.seed, "seed")
         object.__setattr__(self, "_engine", Generator(Philox(0)))
         object.__setattr__(self, "_lock", threading.Lock())
+
+    def __eq__(self, other):
+        if not isinstance(other, PerturbationSampler):
+            return NotImplemented
+        return self.seed == other.seed and np.array_equal(self.factor, other.factor)
+
+    def __hash__(self):
+        # Equal samplers have equal seeds and factor shapes.
+        return hash((self.seed, np.shape(self.factor)))
 
     def __reduce__(self):
         # Pickle the fields alone: the copy builds its own engine and lock.

@@ -6,6 +6,8 @@ from nfgopt.baselines import (
     MppiConfig,
     StompConfig,
     _outward_sign,
+    _reweighted,
+    _rollout_costs,
     _softmin_raw,
     _stomp_raw,
     chomp_gradient,
@@ -23,6 +25,7 @@ from nfgopt.environment import (
     penetration_profile,
     penetration_step,
 )
+from nfgopt import _kernels
 from nfgopt.errors import ConfigError
 from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, Trajectory
@@ -407,3 +410,53 @@ class TestMppiOptimize:
         with pytest.raises(ConfigError, match="1-D"):
             y0 = Trajectory(GRID, np.zeros((100, 2)))
             mppi_optimize(y0, ENV, MppiConfig(), bench_sampler())
+
+
+class TestInPlaceRollout:
+    """MPPI's in-place rollout and the reweighting equal their written-out
+    numpy expressions, byte for byte."""
+
+    @pytest.mark.parametrize("goal", [0.0, 0.37])
+    @pytest.mark.parametrize("weights", [(10.0, 0.15), (1.0, 1.0), (0.0, 0.3), (2.5, 0.0)])
+    @pytest.mark.parametrize("boxes", ["narrow-passage", "terminal-slot"])
+    def test_costs_equal_term_by_term_formula(self, goal, weights, boxes):
+        weight_obs, weight_goal = weights
+        cfg = MppiConfig(goal=goal, weight_obs=weight_obs, weight_goal=weight_goal)
+        sampler = PerturbationSampler(np.eye(1), seed=4)
+        # the terminal slot's two boxes leave y in (-0.5, 0.5) clear
+        env = ENV if boxes == "narrow-passage" else BoxEnvironment(ENV.boxes[2:])
+        table = env.box_table(GRID.times())
+        for k in range(5):
+            candidates = 0.4 * np.sin(np.linspace(0.0, 3.0, 100)) + wiener_noise(sampler, 100, 100, 0.05, k)
+            candidates[:3] = goal  # a zero goal term, and a zero obstacle sum of +0 and -0 in the slot
+            candidates[3:6] = 10.0  # above every box: a zero obstacle sum
+            pen = _kernels.penetration_profile_batch(candidates, table)
+            expected = weight_obs * (-pen).sum(axis=1) + weight_goal * ((candidates - goal) ** 2).sum(axis=1)
+            got = _rollout_costs(candidates.copy(), pen, cfg)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.05, 0.1 * np.sqrt(0.01), 3])
+    def test_wiener_noise_equals_cumsum_of_scaled_increments(self, scale):
+        sampler = PerturbationSampler(np.eye(1), seed=6)
+        increments = scale * sampler.normals(100, 100, 2)
+        increments[:, 0] = 0.0
+        expected = np.cumsum(increments, axis=1)
+        assert wiener_noise(sampler, 100, 100, scale, 2).tobytes() == expected.tobytes()
+
+    def test_reweighted_equals_sum_mean_and_norm(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            raw = np.exp(-rng.random(100) * 30.0)
+            eps = rng.normal(scale=0.1, size=(100, 100))
+            step = _reweighted(raw, eps, -1.5)
+            update = (raw / raw.sum()) @ eps
+            assert step.delta.tobytes() == update.tobytes()
+            assert np.float64(step.mean_weight).tobytes() == np.float64(raw.mean()).tobytes()
+            assert np.float64(step.norm).tobytes() == np.float64(np.linalg.norm(update)).tobytes()
+            assert step.best_score == -1.5
+
+    def test_raw_weights_equal_method_reductions(self):
+        costs = np.random.default_rng(9).normal(size=100)
+        stomp = np.exp(-2.5 * (costs - costs.min()) / (costs.max() - costs.min() + 1e-12))
+        assert _stomp_raw(costs, 2.5).tobytes() == stomp.tobytes()
+        assert _softmin_raw(costs, 0.5).tobytes() == np.exp(-(costs - costs.min()) / 0.5).tobytes()

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -249,7 +251,7 @@ class TestRunBenchmark:
     def test_workers_capped_at_the_number_of_runs(self, monkeypatch):
         # a stand-in pool records max_workers and maps serially, so no
         # process starts
-        import nfgopt.bench as bench_mod
+        import concurrent.futures
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -265,7 +267,7 @@ class TestRunBenchmark:
                 return map(fn, *iterables)
 
         workers = []
-        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         raw = json.loads((ROOT / "configs" / "narrow_passage.json").read_text())
         for method in raw["methods"]:
             method["iterations"] = 2
@@ -274,6 +276,28 @@ class TestRunBenchmark:
         pooled = run_benchmark(cfg, parallel=10**6, out_dir=None)
         assert workers == [20] == [len(serial)]
         assert [strip_runtime(r) for r in pooled] == [strip_runtime(r) for r in serial]
+
+    @pytest.mark.parametrize("parallel", [0, -3, True, False, 2.5, "2", None])
+    def test_bad_parallel_rejected_before_any_run(self, parallel, monkeypatch, tmp_path):
+        import nfgopt.bench as bench_mod
+
+        started = []
+        monkeypatch.setattr(bench_mod, "run_single", lambda *args: started.append(args))
+        with pytest.raises(ConfigError, match="parallel"):
+            run_benchmark(mini_config(), parallel=parallel, out_dir=str(tmp_path / "out"))
+        assert started == []
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_integer_parallel_accepted(self):
+        cfg = mini_config()
+        serial = run_benchmark(cfg, parallel=np.int64(1), out_dir=None)
+        assert [strip_runtime(r) for r in serial] == [strip_runtime(r) for r in run_benchmark(cfg, out_dir=None)]
+
+    def test_import_skips_multiprocessing(self):
+        probe = "import sys, nfgopt.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_final_trajectory_reproduces_recorded_success(self, tmp_path):
         cfg = mini_config()
@@ -506,6 +530,11 @@ class TestCli:
     def test_run_bad_parallel(self, tmp_path):
         cfg = self.write_config(tmp_path)
         assert main(["run", "--config", cfg, "--parallel", "0"]) == 2
+
+    def test_run_negative_parallel_names_the_option(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--parallel", "-3"]) == 2
+        assert "parallel must be at least 1, got -3" in capsys.readouterr().err
 
     def test_run_crash_maps_to_3(self, tmp_path, monkeypatch, capsys):
         cfg = self.write_config(tmp_path)

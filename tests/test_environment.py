@@ -374,3 +374,45 @@ class TestScoringComputesOnlyWhatIsRead:
         assert not feasible(inside)
         for odd in (np.nan, np.inf, -np.inf):
             assert feasible(np.full(100, odd))
+
+
+def slot_tensor_profile(values, table):
+    """Reference penetration: all slots at once as (B, J, w) broadcast
+    temporaries, reduced by a maximum over the slot axis."""
+    c0, c1, lo, hi = table
+    s = np.zeros_like(values)
+    if c1 == c0:
+        return s
+    v = values[:, None, c0:c1]
+    depth = np.minimum(v - lo, hi - v).max(axis=1)
+    np.negative(np.fmax(depth, 0.0, out=depth), out=s[:, c0:c1])
+    return s
+
+
+class TestPerSlotPasses:
+    """The per-slot penetration passes and the jerk bonus equal their
+    written-out numpy expressions, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(TestBoxTable.ENVIRONMENTS))
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_profile_equals_slot_tensor_reference(self, name, batch):
+        table = TestBoxTable.ENVIRONMENTS[name].box_table(GRID.times())
+        rng = np.random.default_rng(batch + 7)
+        values = rng.normal(scale=2.0, size=(batch, 100))
+        # faces of the three environments, both signed zeros, NaN and +-inf
+        odd = np.array([-3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 4.0, np.nan, np.inf, -np.inf])
+        on_odd = rng.random(values.shape) < 0.3
+        values[on_odd] = rng.choice(odd, size=on_odd.sum())
+        with np.errstate(all="raise"):
+            got = _kernels.penetration_profile_batch(values, table)
+            expected = slot_tensor_profile(values, table)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 100])
+    @pytest.mark.parametrize("lambda_jerk, dt", [(1e-4, 0.01), (1e-6, 0.003), (2.0, 0.2)])
+    def test_jerk_bonus_equals_mean_expression(self, batch, lambda_jerk, dt):
+        values = np.random.default_rng(batch).normal(scale=0.3, size=(batch, 100))
+        d3 = values[:, 3:] - 3.0 * values[:, 2:-1] + 3.0 * values[:, 1:-2] - values[:, :-3]
+        expected = np.exp(-lambda_jerk * (np.abs(d3).mean(axis=1) / dt**3))
+        assert (expected > 0.0).all() and (expected < 1.0).all()
+        assert _kernels._jerk_bonus(values, lambda_jerk, dt).tobytes() == expected.tobytes()

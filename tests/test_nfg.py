@@ -3,7 +3,7 @@ import pytest
 
 from nfgopt.environment import ScoreConfig, narrow_passage_v1, penetration_profile
 from nfgopt.errors import ConfigError, DegenerateBatchError, NonFiniteStepError
-from nfgopt.nfg import NfgConfig, batch_weights, estimate_direction, optimize, optimize_objective
+from nfgopt.nfg import NfgConfig, _norm, batch_weights, estimate_direction, optimize, optimize_objective
 from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, Trajectory
 
@@ -248,3 +248,42 @@ class TestOptimizeBenchmark:
             if (penetration_profile(env, final) == 0.0).all():
                 successes += 1
         assert successes >= 4
+
+
+class TestDirectReductions:
+    """The ufunc reductions equal the ndarray methods and np.linalg.norm,
+    byte for byte."""
+
+    @pytest.mark.parametrize("size", [1, 3, 100, 1000])
+    def test_norm_equals_linalg_norm(self, size):
+        rng = np.random.default_rng(size)
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            x = rng.normal(scale=scale, size=size)
+            assert np.float64(_norm(x)).tobytes() == np.float64(np.linalg.norm(x)).tobytes()
+
+    @pytest.mark.parametrize("weight_mode", ["shifted", "raw"])
+    def test_stats_equal_max_and_mean(self, weight_mode):
+        grid = TimeGrid(1.0, 100.0)
+        sampler = PerturbationSampler(factor_for(grid), seed=3)
+        cfg = NfgConfig(sigma=0.7, n_pow=3.0, batch=100, weight_mode=weight_mode)
+        seen = []
+
+        def objective(batch):
+            scores = -np.abs(batch).mean(axis=1)
+            seen.append(scores)
+            return scores
+
+        for stream in range(3):
+            _, stats = estimate_direction(np.zeros(100), objective, sampler, cfg, stream)
+            scores = seen[-1]
+            weights = batch_weights(scores, cfg.n_pow, cfg.weight_mode)
+            assert np.float64(stats["best_score"]).tobytes() == np.float64(scores.max()).tobytes()
+            assert np.float64(stats["mean_weight"]).tobytes() == np.float64(weights.mean()).tobytes()
+
+    def test_perturbations_equal_scaled_samples(self):
+        grid = TimeGrid(1.0, 100.0)
+        sampler = PerturbationSampler(factor_for(grid), seed=5)
+        cfg = NfgConfig(sigma=0.37, batch=100)
+        seen = []
+        estimate_direction(np.zeros(100), lambda b: seen.append(b.copy()) or -np.ones(100), sampler, cfg, 2)
+        assert seen[0].tobytes() == (np.zeros(100)[None, :] + 0.37 * sampler.sample(100, 2)).tobytes()

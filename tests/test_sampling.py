@@ -355,3 +355,36 @@ class TestPrincipalFactor:
         empirical = (eps.T @ eps) / draws
         tol = 5.0 * BENCH_KERNEL.variance / np.sqrt(draws)
         assert np.abs(empirical - K).max() <= tol
+
+
+class TestSamplerEquality:
+    """Equality compares the seed and the factor's shape and entries, and
+    hashing agrees with it."""
+
+    def test_equal_copy_is_equal_and_hashes_equal(self):
+        fac = bench_factor()
+        a, b = PerturbationSampler(fac, seed=3), PerturbationSampler(fac.copy(), seed=3)
+        assert a.factor is not b.factor
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_seed_is_unequal(self):
+        fac = bench_factor()
+        assert PerturbationSampler(fac, seed=3) != PerturbationSampler(fac.copy(), seed=4)
+
+    def test_different_factor_is_unequal(self):
+        fac = bench_factor()
+        other = fac.copy()
+        other[5, 2] += 1e-12
+        sampler = PerturbationSampler(fac, seed=3)
+        assert sampler != PerturbationSampler(other, seed=3)
+        assert sampler != PerturbationSampler(fac[:, :50], seed=3)  # another shape
+        assert sampler != PerturbationSampler(fac.ravel(), seed=3)  # same entries, another shape
+        assert sampler != (fac, 3)
+
+    def test_pickle_round_trip_is_equal(self):
+        sampler = PerturbationSampler(bench_factor(), seed=29)
+        clone = pickle.loads(pickle.dumps(sampler))
+        assert clone.factor is not sampler.factor
+        assert clone == sampler and hash(clone) == hash(sampler)
