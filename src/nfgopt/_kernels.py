@@ -1,5 +1,5 @@
-"""Hot numeric kernels: the third-difference stencil, per-step box
-penetration and batched trajectory scoring.
+"""Hot numeric kernels: the third-difference stencil and its mean, per-step
+box penetration and batched trajectory scoring.
 
 The kernels vectorize over the batch axis with numpy. They read the boxes
 from a :class:`BoxTable`, which :func:`box_table` builds once per time grid
@@ -123,11 +123,20 @@ def batch_scores(values: np.ndarray, table: BoxTable, lambda_jerk: float, dt: fl
     return scores
 
 
+def mean_abs_jerk(values: np.ndarray, dt: float) -> np.ndarray | np.float64:
+    """Mean |third difference| / dt^3 along the last axis: the sum over the
+    ``n - 3`` windows, divided by their count, then by dt^3, which is what
+    ``np.abs(d3).mean() / dt**3`` computes. A float for one path, an array
+    of shape (B,) for a (B, m) batch."""
+    d3 = third_difference(values)
+    jerk = np.add.reduce(np.abs(d3, out=d3), axis=-1) / d3.shape[-1]
+    jerk /= dt**3
+    return jerk
+
+
 def _jerk_bonus(values: np.ndarray, lambda_jerk: float, dt: float) -> np.ndarray:
     """exp(-lambda_jerk * mean |third difference| / dt^3) per row, evaluated
     in place in that order."""
-    d3 = third_difference(values)
-    jerk = np.add.reduce(np.abs(d3, out=d3), axis=1) / d3.shape[1]
-    jerk /= dt**3
+    jerk = mean_abs_jerk(values, dt)
     jerk *= -lambda_jerk
     return np.exp(jerk, out=jerk)

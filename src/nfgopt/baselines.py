@@ -195,6 +195,9 @@ def chomp_gradient(
     dt3 = y.grid.dt**3
     windows = m - 3
     d3 = _kernels.third_difference(values)
+    # Not _kernels.mean_abs_jerk: one division by windows*dt3 rounds
+    # differently from dividing by windows, then by dt3, and the gradient's
+    # last bits move CHOMP's path_length and the records fingerprint.
     mean_jerk = np.abs(d3).sum() / (windows * dt3)
     # sums of the integers +-1 and +-3 only, so exact in any order
     adjoint = np.convolve(np.sign(d3), (-1.0, 3.0, -3.0, 1.0))
@@ -262,8 +265,10 @@ class MppiConfig:
         if self.noise_scale is not None and not (self.noise_scale >= 0.0 and np.isfinite(self.noise_scale)):
             # zero is allowed: it degenerates to a fixed point, useful in tests
             raise ConfigError(f"noise_scale must be non-negative, got {self.noise_scale}")
-        if not (self.weight_obs >= 0.0 and self.weight_goal >= 0.0):
-            raise ConfigError("cost weights must be non-negative")
+        if not np.isfinite(self.goal):
+            raise ConfigError(f"goal must be finite, got {self.goal}")
+        if not (0.0 <= self.weight_obs < np.inf and 0.0 <= self.weight_goal < np.inf):
+            raise ConfigError("cost weights must be finite and non-negative")
 
     def resolved_noise_scale(self, dt: float) -> float:
         if self.noise_scale is not None:

@@ -89,12 +89,16 @@ class MethodSpec:
     config: object
 
 
+# The kernel's jitter as a share of its variance: K + REG_SCALE*variance*I
+# is factorized.
+REG_SCALE = 1e-6
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     environment: BoxEnvironment
     grid: TimeGrid
     kernel: SEKernel
-    reg: float
     score: ScoreConfig
     methods: tuple[MethodSpec, ...]
     seeds: tuple[int, ...]
@@ -110,6 +114,11 @@ class BenchConfig:
             raise ConfigError(f"duplicate method names in config: {names}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seeds in config: {list(self.seeds)}")
+
+    @property
+    def reg(self) -> float:
+        """The jitter added to the kernel matrix's diagonal."""
+        return REG_SCALE * self.kernel.variance
 
 
 @dataclass(frozen=True)
@@ -193,7 +202,6 @@ CONFIG_FIELDS = {
     "environment": (str | tuple[BoxObstacle, ...], "narrow-passage-v1"),
     "grid": (TimeGrid, TimeGrid()),
     "kernel": (SEKernel, SEKernel()),
-    "reg_scale": (float, 1e-6),
     "score": (ScoreConfig, ScoreConfig()),
     "methods": (tuple[dict, ...], dataclasses.MISSING),
     "seeds": (tuple[int, ...], (0, 1, 2, 3, 4)),
@@ -222,7 +230,6 @@ def parse_config(raw: dict) -> BenchConfig:
         environment=load_preset(env) if isinstance(env, str) else BoxEnvironment(env),
         grid=top["grid"],
         kernel=top["kernel"],
-        reg=top["reg_scale"] * top["kernel"].variance,
         score=top["score"],
         methods=tuple(_method_spec(params, f"methods[{i}]") for i, params in enumerate(top["methods"])),
         seeds=top["seeds"],
@@ -312,9 +319,10 @@ def run_single(
     seed: int,
     bench: BenchConfig,
     factor: np.ndarray,
-    out_dir: str | None,
+    out_dir: str,
 ) -> RunRecord:
-    """Run one (method, seed) pair and write its artifacts.
+    """Run one (method, seed) pair and write its artifacts under
+    ``out_dir/<method>/<seed>``.
 
     The initial trajectory is all zeros for every method and seed. Runtime
     covers the method's runner: building its random source and the
@@ -340,30 +348,31 @@ def run_single(
         avg_jerk=average_abs_jerk(traj) if success else None,
         iterations_used=len(traces),
     )
-    if out_dir is not None:
-        run_dir = os.path.join(out_dir, spec.name, str(seed))
-        os.makedirs(run_dir, exist_ok=True)
-        write_trace_csv(os.path.join(run_dir, "trace.csv"), traces, spec.name)
-        write_trajectory_csv(traj, os.path.join(run_dir, "final_trajectory.csv"))
+    run_dir = os.path.join(out_dir, spec.name, str(seed))
+    os.makedirs(run_dir, exist_ok=True)
+    write_trace_csv(os.path.join(run_dir, "trace.csv"), traces, spec.name)
+    write_trajectory_csv(traj, os.path.join(run_dir, "final_trajectory.csv"))
     return record
 
 
-def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "") -> list[RunRecord]:
-    """Run every (method, seed) pair and write records.csv plus summary.csv.
+def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = None) -> list[RunRecord]:
+    """Run every (method, seed) pair and write records.csv, summary.csv and
+    each run's artifacts under ``out_dir``, the config's output_dir when None.
 
     ``parallel`` > 1 spreads runs over worker processes (at most one per
     run); anything but an integer of at least 1, a bool included, is a
-    :class:`ConfigError` raised before any run starts. Record content is
-    identical at any level because each run's randomness is fixed by
-    (method, seed) alone. ``out_dir`` of "" uses the config's output_dir;
-    None disables artifact writing and returns records only. Every run
-    samples from one :func:`principal_factor` of the kernel, built here.
+    :class:`ConfigError` raised before any run starts, and so is an empty
+    directory name. Record content is identical at any level because each
+    run's randomness is fixed by (method, seed) alone. Every run samples
+    from one :func:`principal_factor` of the kernel, built here.
     """
     _check_integer(parallel, "parallel")
     if parallel < 1:
         raise ConfigError(f"parallel must be at least 1, got {parallel}")
-    if out_dir == "":
+    if out_dir is None:
         out_dir = bench.output_dir
+    if not out_dir:
+        raise ConfigError("the output directory must not be empty")
     K = kernel_matrix(bench.grid, bench.kernel)
     factor = principal_factor(factorize(K, bench.reg), bench.reg)
     specs, seeds = zip(*itertools.product(bench.methods, bench.seeds))
@@ -377,10 +386,9 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = "
             records = list(pool.map(run_single, *args))
     else:
         records = list(map(run_single, *args))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_records_csv(os.path.join(out_dir, "records.csv"), records)
-        write_summary_csv(os.path.join(out_dir, "summary.csv"), aggregate(records))
+    os.makedirs(out_dir, exist_ok=True)
+    write_records_csv(os.path.join(out_dir, "records.csv"), records)
+    write_summary_csv(os.path.join(out_dir, "summary.csv"), aggregate(records))
     return records
 
 
@@ -564,7 +572,10 @@ def evaluate_external(
     whose average jerk is not finite.
     """
     score_cfg = score_cfg or ScoreConfig()
-    path = unwrap_angles(WaypointPath(load_waypoints(path_file), angular)).dedupe()
+    path = WaypointPath(load_waypoints(path_file))
+    if angular:
+        path = unwrap_angles(path)
+    path = path.dedupe()
     timestamps = arc_length_times(path, grid.horizon_seconds)
     traj = resample(path, timestamps, grid)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -44,17 +44,16 @@ WEIGHT_MODES = ("raw", "shifted")
 class NfgConfig:
     """Optimizer settings.
 
-    ``step_size`` is a constant or one value per iteration. The update
-    direction is scaled to unit norm before the step, which makes a
-    constant step usable even though raw weights can span hundreds of
-    orders of magnitude.
+    The update direction is scaled to unit norm before each step of
+    ``step_size``, which makes a constant step usable even though raw
+    weights can span hundreds of orders of magnitude.
     """
 
     sigma: float = 1.0
     n_pow: float = 100.0
     batch: int = 100
     iterations: int = 100
-    step_size: float | tuple[float, ...] = 0.1
+    step_size: float = 0.1
     early_stop: bool = False
     weight_mode: str = "shifted"
 
@@ -69,23 +68,8 @@ class NfgConfig:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
-        if isinstance(self.step_size, (int, float)):
-            if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
-                raise ConfigError(f"step size must be positive, got {self.step_size}")
-        else:
-            sizes = tuple(float(s) for s in self.step_size)
-            if len(sizes) != self.iterations:
-                raise ConfigError(
-                    f"step_size has {len(sizes)} entries for {self.iterations} iterations"
-                )
-            if any(not (s > 0.0 and np.isfinite(s)) for s in sizes):
-                raise ConfigError("every step size must be positive")
-            object.__setattr__(self, "step_size", sizes)
-
-    def eta(self, iteration: int) -> float:
-        if isinstance(self.step_size, tuple):
-            return self.step_size[iteration]
-        return float(self.step_size)
+        if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
+            raise ConfigError(f"step size must be positive, got {self.step_size}")
 
 
 @dataclass(frozen=True)
@@ -255,7 +239,7 @@ def optimize_objective(
             return _Step(None, -np.inf, 0.0, 0.0)
         norm = _norm(direction)
         direction = direction / (norm + _NORM_EPS)
-        return _Step(cfg.eta(k) * direction, stats["best_score"], stats["mean_weight"], norm)
+        return _Step(cfg.step_size * direction, stats["best_score"], stats["mean_weight"], norm)
 
     return _iterate(values0, cfg.iterations, cfg.early_stop, feasibility, ascent)
 

@@ -110,12 +110,14 @@ def principal_factor(L: np.ndarray, reg: float) -> np.ndarray:
     Raises
     ------
     ConfigError
-        If no eigenvalue exceeds the jitter.
+        If no eigenvalue exceeds the jitter. A benchmark's jitter,
+        ``bench.REG_SCALE`` times the kernel variance, never raises it:
+        K's largest eigenvalue is at least the variance.
     """
     U, S, _ = np.linalg.svd(L)
     keep = S * S > 2.0 * reg
     if not keep.any():
-        raise ConfigError(f"no kernel eigenvalue exceeds the jitter reg={reg}; lower reg_scale")
+        raise ConfigError(f"no kernel eigenvalue exceeds the jitter reg={reg}; lower reg")
     U = U[:, keep]
     signs = np.sign(U[np.abs(U).argmax(axis=0), np.arange(U.shape[1])])
     F = U * (signs * S[keep])

@@ -5,7 +5,7 @@ A :class:`Trajectory` is a dense sampling of a 1-D path y(t) on a uniform
 values, typically produced by an external planner, that can be mapped onto
 a grid through the pipeline
 
-    unwrap_angles -> dedupe -> arc_length_times -> resample
+    unwrap_angles (angles only) -> dedupe -> arc_length_times -> resample
 
 after which it is scored exactly like any internally optimized trajectory.
 Both types hold their values as one column of shape (n, 1) and reject a
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import third_difference
+from ._kernels import mean_abs_jerk
 from .errors import ConfigError, DegeneratePathError
 
 @dataclass(frozen=True)
@@ -122,17 +122,11 @@ class WaypointPath:
     ----------
     waypoints : array-like, shape (L, 1) or (L,)
         At least two values, held as one column of shape (L, 1).
-    angular : bool, optional
-        Whether the values are angles (radians), which
-        :func:`unwrap_angles` unwraps. Default: False.
     """
 
     waypoints: np.ndarray
-    angular: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.angular, (bool, np.bool_)):
-            raise ConfigError(f"angular must be one bool, got {self.angular!r}")
         pts = _value_column(self.waypoints, "waypoints")
         if pts.shape[0] < 2:
             raise DegeneratePathError(f"need at least 2 waypoints, got {pts.shape[0]}")
@@ -152,7 +146,7 @@ class WaypointPath:
             raise DegeneratePathError("all waypoints identical: path has zero arc length")
         if keep.all():
             return self
-        return WaypointPath(y[keep], self.angular)
+        return WaypointPath(y[keep])
 
 
 def average_abs_jerk(traj: Trajectory) -> float:
@@ -160,10 +154,10 @@ def average_abs_jerk(traj: Trajectory) -> float:
 
     The stencil (:func:`~nfgopt._kernels.third_difference`) has
     ``steps - 3`` valid windows; the average runs over them, with no
-    padding. Units are value/s^3.
+    padding. Units are value/s^3. Scoring computes the same figure with
+    the same helper, :func:`~nfgopt._kernels.mean_abs_jerk`.
     """
-    d3 = third_difference(traj.values[:, 0])
-    return float(np.abs(d3).mean() / traj.grid.dt**3)
+    return float(mean_abs_jerk(traj.values[:, 0], traj.grid.dt))
 
 
 def path_length(traj: Trajectory) -> float:
@@ -172,19 +166,16 @@ def path_length(traj: Trajectory) -> float:
 
 
 def unwrap_angles(path: WaypointPath) -> WaypointPath:
-    """Remove 2*pi jumps from an angular path.
+    """Remove 2*pi jumps from a path of angles (radians).
 
     The values are shifted by integer multiples of 2*pi so that
-    consecutive increments have magnitude at most pi. A path not flagged
-    angular is returned as-is.
+    consecutive increments have magnitude at most pi.
     """
-    if not path.angular:
-        return path
     # A difference that overflows makes a non-finite value, which
     # WaypointPath rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         unwrapped = np.unwrap(path.waypoints[:, 0])
-    return WaypointPath(unwrapped, True)
+    return WaypointPath(unwrapped)
 
 
 def arc_length_times(path: WaypointPath, duration: float) -> np.ndarray:

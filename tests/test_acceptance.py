@@ -18,18 +18,15 @@ from nfgopt import (
     PerturbationSampler,
     SEKernel,
     TimeGrid,
-    WaypointPath,
-    aggregate,
-    arc_length_times,
     estimate_direction,
     factorize,
-    format_summary,
     kernel_matrix,
     load_config,
     optimize_objective,
-    resample,
     run_benchmark,
 )
+from nfgopt.bench import aggregate, format_summary
+from nfgopt.trajectory import WaypointPath, arc_length_times, resample
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "narrow_passage.json"

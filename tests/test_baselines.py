@@ -309,6 +309,11 @@ class TestMppiPieces:
             {"noise_scale": -0.1},
             {"weight_obs": -1.0},
             {"weight_goal": -1.0},
+            {"goal": float("nan")},
+            {"goal": float("inf")},
+            {"weight_obs": float("inf")},
+            {"weight_obs": float("nan")},
+            {"weight_goal": float("inf")},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -12,6 +12,7 @@ import pytest
 
 from nfgopt.baselines import ChompConfig
 from nfgopt.bench import (
+    REG_SCALE,
     MethodSpec,
     RunRecord,
     aggregate,
@@ -74,9 +75,9 @@ class TestParseConfig:
         assert len(cfg.environment.boxes) == 4
         assert cfg.methods == (MethodSpec("chomp", ChompConfig()),)
 
-    def test_reg_scale(self):
-        cfg = parse_config({"methods": [{"name": "chomp"}], "reg_scale": 1e-3})
-        assert cfg.reg == pytest.approx(1e-3 * 0.29, rel=1e-15)
+    def test_reg_is_a_fixed_share_of_the_variance(self):
+        cfg = parse_config({"methods": [{"name": "chomp"}], "kernel": {"variance": 0.5}})
+        assert cfg.reg == REG_SCALE * 0.5
 
     def test_inline_environment(self):
         cfg = parse_config(
@@ -161,13 +162,31 @@ class TestStrictTypes:
         assert "missing keys ['y_hi']" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_int_accepted_for_float_field(self):
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: raw.update(reg_scale=1e-3), "config: unknown keys ['reg_scale']"),
+            (lambda raw: raw["methods"][0].update(step_size=[0.4] * 5), "methods[nfg].step_size must be float"),
+            (lambda raw: raw["methods"].append({"name": "mppi", "goal": float("nan")}), "goal must be finite"),
+        ],
+    )
+    def test_removed_or_invalid_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, edit, message):
         raw = copy.deepcopy(MINI_RAW)
-        raw["methods"][0].update(sigma=1, step_size=[1, 0.5, 0.5, 0.5, 0.5], n_pow=50)
+        edit(raw)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        raw = copy.deepcopy(MINI_RAW)
+        raw["methods"][0].update(sigma=1, step_size=1, n_pow=50)
         raw["grid"]["rate_hz"] = 100
         cfg = parse_config(raw)
         assert cfg.grid == TimeGrid(0.3, 100.0)
-        records = run_benchmark(cfg, out_dir=None)
+        records = run_benchmark(cfg, out_dir=str(tmp_path))
         assert [r.method for r in records] == ["nfg", "nfg", "chomp", "chomp"]
 
 
@@ -193,7 +212,7 @@ class TestRunSingle:
             }
         )
         factor = factorize(kernel_matrix(cfg.grid, cfg.kernel), cfg.reg)
-        record = run_single(cfg.methods[0], 0, cfg, factor, None)
+        record = run_single(cfg.methods[0], 0, cfg, factor, str(tmp_path))
         assert record.success
         assert record.avg_jerk == 0.0
         assert record.path_length == 0.0
@@ -236,19 +255,25 @@ class TestRunBenchmark:
         loaded = read_records_csv(str(tmp_path / "records.csv"))
         assert [strip_runtime(r) for r in loaded] == [strip_runtime(r) for r in records]
 
-    def test_rerun_identical_modulo_runtime(self):
+    def test_output_dir_used_by_default(self, tmp_path):
+        raw = copy.deepcopy(MINI_RAW)
+        raw["output_dir"] = str(tmp_path / "results")
+        run_benchmark(parse_config(raw))
+        assert sorted(os.listdir(tmp_path / "results")) == ["chomp", "nfg", "records.csv", "summary.csv"]
+
+    def test_rerun_identical_modulo_runtime(self, tmp_path):
         cfg = mini_config()
-        a = run_benchmark(cfg, out_dir=None)
-        b = run_benchmark(cfg, out_dir=None)
+        a = run_benchmark(cfg, out_dir=str(tmp_path / "a"))
+        b = run_benchmark(cfg, out_dir=str(tmp_path / "b"))
         assert [strip_runtime(r) for r in a] == [strip_runtime(r) for r in b]
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
         cfg = mini_config()
-        serial = run_benchmark(cfg, parallel=1, out_dir=None)
-        parallel = run_benchmark(cfg, parallel=2, out_dir=None)
+        serial = run_benchmark(cfg, parallel=1, out_dir=str(tmp_path / "serial"))
+        parallel = run_benchmark(cfg, parallel=2, out_dir=str(tmp_path / "parallel"))
         assert [strip_runtime(r) for r in serial] == [strip_runtime(r) for r in parallel]
 
-    def test_workers_capped_at_the_number_of_runs(self, monkeypatch):
+    def test_workers_capped_at_the_number_of_runs(self, monkeypatch, tmp_path):
         # a stand-in pool records max_workers and maps serially, so no
         # process starts
         import concurrent.futures
@@ -272,8 +297,8 @@ class TestRunBenchmark:
         for method in raw["methods"]:
             method["iterations"] = 2
         cfg = parse_config(raw)
-        serial = run_benchmark(cfg, parallel=1, out_dir=None)
-        pooled = run_benchmark(cfg, parallel=10**6, out_dir=None)
+        serial = run_benchmark(cfg, parallel=1, out_dir=str(tmp_path / "serial"))
+        pooled = run_benchmark(cfg, parallel=10**6, out_dir=str(tmp_path / "pooled"))
         assert workers == [20] == [len(serial)]
         assert [strip_runtime(r) for r in pooled] == [strip_runtime(r) for r in serial]
 
@@ -288,10 +313,25 @@ class TestRunBenchmark:
         assert started == []
         assert not (tmp_path / "out").exists()
 
-    def test_numpy_integer_parallel_accepted(self):
+    @pytest.mark.parametrize("where", ["config", "argument"])
+    def test_empty_output_dir_rejected_before_any_run(self, where, monkeypatch, tmp_path):
+        import nfgopt.bench as bench_mod
+
+        started = []
+        monkeypatch.setattr(bench_mod, "run_single", lambda *args: started.append(args))
+        monkeypatch.chdir(tmp_path)
+        raw = copy.deepcopy(MINI_RAW)
+        raw["output_dir"] = "" if where == "config" else "results"
+        with pytest.raises(ConfigError, match="output directory"):
+            run_benchmark(parse_config(raw), out_dir="" if where == "argument" else None)
+        assert started == []
+        assert os.listdir(tmp_path) == []
+
+    def test_numpy_integer_parallel_accepted(self, tmp_path):
         cfg = mini_config()
-        serial = run_benchmark(cfg, parallel=np.int64(1), out_dir=None)
-        assert [strip_runtime(r) for r in serial] == [strip_runtime(r) for r in run_benchmark(cfg, out_dir=None)]
+        serial = run_benchmark(cfg, parallel=np.int64(1), out_dir=str(tmp_path / "a"))
+        again = run_benchmark(cfg, out_dir=str(tmp_path / "b"))
+        assert [strip_runtime(r) for r in serial] == [strip_runtime(r) for r in again]
 
     def test_import_skips_multiprocessing(self):
         probe = "import sys, nfgopt.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
@@ -329,9 +369,9 @@ class TestNonFiniteUpdate:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
         assert "NonFiniteStepError: non-finite update at mppi seed 0, iteration 0" in capsys.readouterr().err
 
-    def test_error_crosses_worker_processes(self):
+    def test_error_crosses_worker_processes(self, tmp_path):
         with pytest.raises(NonFiniteStepError) as info:
-            run_benchmark(parse_config(copy.deepcopy(self.RAW)), parallel=2, out_dir=None)
+            run_benchmark(parse_config(copy.deepcopy(self.RAW)), parallel=2, out_dir=str(tmp_path))
         assert (info.value.method, info.value.seed, info.value.iteration) == ("mppi", 0, 0)
 
 

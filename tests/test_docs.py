@@ -1,6 +1,7 @@
 """The README against the code: its CLI block against the argument
-parser, its Configuration section against the config parser, and its
-Library example against the package."""
+parser, its Configuration section against the config parser, its
+Library example against the package, and the package root's exports
+against the README and the benchmark."""
 
 import argparse
 import dataclasses
@@ -50,3 +51,18 @@ def test_readme_library_snippet_runs():
     exec(compile(snippet, f"{README}:Library", "exec"), namespace)
     assert len(namespace["traces"]) == namespace["cfg"].iterations
     assert namespace["eps"].shape == (8, namespace["grid"].steps)
+
+
+def test_every_root_export_has_a_caller():
+    # the package root exports only names the README shows in code or the
+    # benchmark calls as nfgopt.<name>
+    import nfgopt
+
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), flags=re.DOTALL))
+    perfbench = "\n".join(p.read_text() for p in sorted((README.parent / "perfbench").glob("*.py")))
+    unused = [
+        name
+        for name in nfgopt.__all__
+        if not re.search(rf"\b{name}\b", code) and f"nfgopt.{name}" not in perfbench
+    ]
+    assert unused == []

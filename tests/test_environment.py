@@ -257,7 +257,7 @@ class TestBoxTable:
         assert builds == [100, 50]
 
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_one_run_single_builds_one_table(self, method, builds):
+    def test_one_run_single_builds_one_table(self, method, builds, tmp_path):
         cfg = parse_config(
             {
                 "environment": "narrow-passage-v1",
@@ -266,7 +266,7 @@ class TestBoxTable:
             }
         )
         factor = factorize(kernel_matrix(cfg.grid, cfg.kernel), cfg.reg)
-        run_single(cfg.methods[0], 0, cfg, factor, None)
+        run_single(cfg.methods[0], 0, cfg, factor, str(tmp_path))
         assert builds == [100]
 
     def test_one_optimize_builds_one_table(self, builds):
@@ -407,6 +407,19 @@ class TestPerSlotPasses:
             got = _kernels.penetration_profile_batch(values, table)
             expected = slot_tensor_profile(values, table)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [4, 5, 17, 100, 333, 1000])
+    def test_mean_abs_jerk_rows_equal_average_abs_jerk(self, m):
+        # scoring reduces a (B, m) batch row by row; average_abs_jerk and
+        # its former 1-D expression reduce one path: every row agrees bit
+        # for bit
+        grid = TimeGrid(m / 100.0, 100.0)
+        values = np.random.default_rng(m).normal(scale=0.3, size=(30, m))
+        batch = _kernels.mean_abs_jerk(values, grid.dt)
+        for row, jerk in zip(values, batch):
+            single = np.float64(average_abs_jerk(Trajectory(grid, row)))
+            former = np.float64(np.abs(_kernels.third_difference(row)).mean() / grid.dt**3)
+            assert jerk.tobytes() == single.tobytes() == former.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 100])
     @pytest.mark.parametrize("lambda_jerk, dt", [(1e-4, 0.01), (1e-6, 0.003), (2.0, 0.2)])

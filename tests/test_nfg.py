@@ -26,22 +26,14 @@ class TestNfgConfig:
             {"sigma": 1.0, "iterations": 0},
             {"sigma": 1.0, "weight_mode": "softmax"},
             {"sigma": 1.0, "step_size": -0.1},
-            {"sigma": 1.0, "iterations": 3, "step_size": (0.1, 0.2)},
-            {"sigma": 1.0, "iterations": 2, "step_size": (0.1, -0.2)},
+            {"sigma": 1.0, "step_size": 0.0},
+            {"sigma": 1.0, "step_size": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             NfgConfig(**kwargs)
 
-    def test_scalar_eta(self):
-        cfg = NfgConfig(sigma=1.0, step_size=0.25)
-        assert cfg.eta(0) == 0.25
-        assert cfg.eta(99) == 0.25
-
-    def test_schedule_eta(self):
-        cfg = NfgConfig(sigma=1.0, iterations=3, step_size=(0.3, 0.2, 0.1))
-        assert [cfg.eta(k) for k in range(3)] == [0.3, 0.2, 0.1]
 
 
 class TestBatchWeights:
@@ -177,6 +169,15 @@ class TestOptimizeObjective:
         np.testing.assert_array_equal(out1, out2)
         assert [t.best_score for t in tr1] == [t.best_score for t in tr2]
         assert [t.estimator_norm for t in tr1] == [t.estimator_norm for t in tr2]
+
+    def test_step_is_step_size_along_the_unit_direction(self):
+        _, cfg, sampler = self.linear_setup(iterations=1, step_size=0.25)
+        objective = lambda v: v.sum(axis=1)
+        out, _ = optimize_objective(np.zeros(5), objective, sampler, cfg)
+        direction, _ = estimate_direction(np.zeros(5), objective, sampler, cfg, 0)
+        expected = 0.25 * (direction / (_norm(direction) + 1e-12))
+        np.testing.assert_array_equal(out[1:], expected[1:])
+        assert out[0] == 0.0
 
     def test_improves_linear_objective(self):
         _, cfg, sampler = self.linear_setup(iterations=20)

@@ -337,7 +337,7 @@ class TestPrincipalFactor:
             fac[0, 0] = 1.0
 
     def test_nothing_above_the_jitter_rejected(self):
-        with pytest.raises(ConfigError, match="reg_scale"):
+        with pytest.raises(ConfigError, match="lower reg"):
             principal(reg_scale=1e6)
 
     def test_sample_draws_rank_many_normals(self):

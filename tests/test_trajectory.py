@@ -134,30 +134,26 @@ class TestPathLength:
 
 class TestUnwrapAngles:
     def test_identity_when_continuous(self):
-        path = WaypointPath(np.array([0.0, 0.1]), angular=True)
+        path = WaypointPath(np.array([0.0, 0.1]))
         out = unwrap_angles(path)
         np.testing.assert_array_equal(out.waypoints[:, 0], [0.0, 0.1])
 
     def test_single_jump(self):
-        path = WaypointPath(np.array([3.1, -3.1]), angular=True)
+        path = WaypointPath(np.array([3.1, -3.1]))
         out = unwrap_angles(path)
         expected = [3.1, 3.1 + (2.0 * math.pi - 6.2)]
         np.testing.assert_allclose(out.waypoints[:, 0], expected, atol=1e-12)
 
     def test_cumulative_correction(self):
-        path = WaypointPath(np.array([0.0, 3.2, 6.4]), angular=True)
+        path = WaypointPath(np.array([0.0, 3.2, 6.4]))
         out = unwrap_angles(path)
         expected = [0.0, 3.2 - 2.0 * math.pi, 6.4 - 4.0 * math.pi]
         np.testing.assert_allclose(out.waypoints[:, 0], expected, atol=1e-12)
 
-    def test_no_flags_passthrough(self):
-        path = WaypointPath(np.array([0.0, 3.2, 6.4]))
-        assert unwrap_angles(path) is path
-
     def test_output_properties(self):
         rng = np.random.default_rng(2)
         raw = rng.uniform(-10.0, 10.0, size=40)
-        out = unwrap_angles(WaypointPath(raw, angular=True))
+        out = unwrap_angles(WaypointPath(raw))
         shift = (out.waypoints[:, 0] - raw) / (2.0 * math.pi)
         np.testing.assert_allclose(shift, np.round(shift), atol=1e-9)
         assert np.all(np.abs(np.diff(out.waypoints[:, 0])) <= math.pi + 1e-9)
@@ -262,11 +258,6 @@ class TestWaypointPath:
     def test_second_column_rejected(self):
         with pytest.raises(ConfigError, match="1-D"):
             WaypointPath(np.zeros((3, 2)) + np.arange(3)[:, None])
-
-    @pytest.mark.parametrize("flag", [(True,), (False,), 1, "yes", None])
-    def test_angular_must_be_one_bool(self, flag):
-        with pytest.raises(ConfigError, match="bool"):
-            WaypointPath(np.array([0.0, 1.0]), angular=flag)
 
     def test_flat_and_column_inputs_agree(self):
         flat = WaypointPath(np.array([0.0, 2.0, 1.0]))
