@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .environment import BoxEnvironment, ScoreConfig, batch_scores, trajectory_score
-from .errors import ConfigError
+from .errors import check_bool, check_integer, check_number
 from .nfg import IterationTrace, _iterate, _norm, _Step
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
@@ -77,14 +77,11 @@ class StompConfig:
     early_stop: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
-        if self.batch < 2:
-            raise ConfigError(f"reweighting needs a batch of at least 2, got {self.batch}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if not (self.temperature > 0.0 and np.isfinite(self.temperature)):
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        check_number(self.sigma, "sigma", "non-negative")
+        check_integer(self.batch, "batch", 2)  # reweighting needs two samples
+        check_integer(self.iterations, "iterations", 1)
+        check_number(self.temperature, "temperature", "positive")
+        check_bool(self.early_stop, "early_stop")
 
 
 def _stomp_raw(costs: np.ndarray, temperature: float) -> np.ndarray:
@@ -132,10 +129,9 @@ class ChompConfig:
     early_stop: bool = False
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if not (self.step > 0.0 and np.isfinite(self.step)):
-            raise ConfigError(f"step must be positive, got {self.step}")
+        check_integer(self.iterations, "iterations", 1)
+        check_number(self.step, "step", "positive")
+        check_bool(self.early_stop, "early_stop")
 
 
 def _deepest_region(profile: np.ndarray) -> tuple[int, np.ndarray]:
@@ -256,19 +252,16 @@ class MppiConfig:
     early_stop: bool = False
 
     def __post_init__(self) -> None:
-        if self.rollouts < 2:
-            raise ConfigError(f"reweighting needs at least 2 rollouts, got {self.rollouts}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if not (self.temperature > 0.0 and np.isfinite(self.temperature)):
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.noise_scale is not None and not (self.noise_scale >= 0.0 and np.isfinite(self.noise_scale)):
+        check_integer(self.rollouts, "rollouts", 2)  # reweighting needs two samples
+        check_integer(self.iterations, "iterations", 1)
+        check_number(self.temperature, "temperature", "positive")
+        if self.noise_scale is not None:
             # zero is allowed: it degenerates to a fixed point, useful in tests
-            raise ConfigError(f"noise_scale must be non-negative, got {self.noise_scale}")
-        if not np.isfinite(self.goal):
-            raise ConfigError(f"goal must be finite, got {self.goal}")
-        if not (0.0 <= self.weight_obs < np.inf and 0.0 <= self.weight_goal < np.inf):
-            raise ConfigError("cost weights must be finite and non-negative")
+            check_number(self.noise_scale, "noise_scale", "non-negative")
+        check_number(self.goal, "goal")
+        check_number(self.weight_obs, "weight_obs", "non-negative")
+        check_number(self.weight_goal, "weight_goal", "non-negative")
+        check_bool(self.early_stop, "early_stop")
 
     def resolved_noise_scale(self, dt: float) -> float:
         if self.noise_scale is not None:

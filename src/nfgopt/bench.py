@@ -18,7 +18,6 @@ Every file is written to a temporary file and renamed into place.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -49,9 +48,9 @@ from .environment import (
     penetration_profile,
     trajectory_score,
 )
-from .errors import ConfigError, DegeneratePathError, NonFiniteStepError
+from .errors import ConfigError, DegeneratePathError, NonFiniteStepError, check_integer, check_number
 from .nfg import IterationTrace, NfgConfig, optimize
-from .sampling import PerturbationSampler, SEKernel, _check_integer, factorize, kernel_matrix, principal_factor
+from .sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix, principal_factor
 from .trajectory import (
     TimeGrid,
     Trajectory,
@@ -60,6 +59,7 @@ from .trajectory import (
     average_abs_jerk,
     load_waypoints,
     path_length,
+    read_csv,
     resample,
     unwrap_angles,
     write_csv,
@@ -241,7 +241,7 @@ def load_config(path: str) -> BenchConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -366,9 +366,7 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = N
     run's randomness is fixed by (method, seed) alone. Every run samples
     from one :func:`principal_factor` of the kernel, built here.
     """
-    _check_integer(parallel, "parallel")
-    if parallel < 1:
-        raise ConfigError(f"parallel must be at least 1, got {parallel}")
+    check_integer(parallel, "parallel", 1)
     if out_dir is None:
         out_dir = bench.output_dir
     if not out_dir:
@@ -459,10 +457,9 @@ def write_records_csv(path: str, records: list[RunRecord]) -> None:
 
 
 def read_records_csv(path: str) -> list[RunRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != RECORD_FIELDS:
-        raise ConfigError(f"{path}: expected records header {','.join(RECORD_FIELDS)}")
+    rows = read_csv(path)
+    if len(rows) < 2 or tuple(rows[0]) != RECORD_FIELDS:
+        raise ConfigError(f"{path}: expected the records header {','.join(RECORD_FIELDS)} and at least one record")
     records = []
     for i, row in enumerate(rows[1:]):
         if len(row) != len(RECORD_FIELDS):
@@ -479,16 +476,13 @@ def read_records_csv(path: str) -> list[RunRecord]:
                 avg_jerk=None if row[5] == "" else float(row[5]),
                 iterations_used=int(row[6]),
             )
+            check_number(record.runtime, "runtime_s", "non-negative")
+            check_number(record.path_length, "path_length", "non-negative")
+            if record.avg_jerk is not None:
+                check_number(record.avg_jerk, "avg_jerk", "non-negative")
+            check_integer(record.iterations_used, "iterations_used", 0)
         except ValueError as exc:
             raise ConfigError(f"{path}: row {i + 1}: {exc}") from exc
-        measures = {"runtime_s": record.runtime, "path_length": record.path_length, "avg_jerk": record.avg_jerk}
-        for name, value in measures.items():
-            if value is not None and not (np.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{path}: row {i + 1}: {name} must be finite and non-negative, got {value!r}")
-        if record.iterations_used < 0:
-            raise ConfigError(
-                f"{path}: row {i + 1}: iterations_used must be non-negative, got {record.iterations_used}"
-            )
         records.append(record)
     return records
 

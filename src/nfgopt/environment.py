@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .trajectory import Trajectory
 
 EXP_CLAMP = 700.0
@@ -30,10 +30,10 @@ class BoxObstacle:
     y_hi: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.t_lo) and np.isfinite(self.t_hi) and self.t_lo < self.t_hi):
-            raise ConfigError(f"need t_lo < t_hi, got [{self.t_lo}, {self.t_hi}]")
-        if not (np.isfinite(self.y_lo) and np.isfinite(self.y_hi) and self.y_lo < self.y_hi):
-            raise ConfigError(f"need y_lo < y_hi, got [{self.y_lo}, {self.y_hi}]")
+        for name in ("t_lo", "t_hi", "y_lo", "y_hi"):
+            check_number(getattr(self, name), name)
+        if not (self.t_lo < self.t_hi and self.y_lo < self.y_hi):
+            raise ConfigError(f"need t_lo < t_hi and y_lo < y_hi, got {self}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ class ScoreConfig:
     lambda_jerk: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not (self.lambda_jerk >= 0.0 and np.isfinite(self.lambda_jerk)):
-            raise ConfigError(f"lambda_jerk must be non-negative, got {self.lambda_jerk}")
+        check_number(self.lambda_jerk, "lambda_jerk", "non-negative")
 
 
 def penetration_step(env: BoxEnvironment, t: float, y: float) -> float:

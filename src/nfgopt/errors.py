@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks every
+config value goes through."""
+
+import math
+import sys
+
+import numpy as np
+
+_INTEGER = (int, np.integer)
 
 
 class ConfigError(ValueError):
@@ -7,6 +15,32 @@ class ConfigError(ValueError):
 
     The CLI maps this to exit code 2.
     """
+
+
+def check_integer(value, name: str, low: int, high: int | None = None) -> None:
+    """Reject anything but an int or numpy integer (not a bool) in [low, high], or >= low if high is None."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGER):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be {bound}, got {value}")
+
+
+def check_number(value, name: str, sign: str | None = None) -> None:
+    """Reject anything but a finite int, float or numpy number (not a bool, nor an int beyond the
+    float range); ``sign`` "positive" or "non-negative" also bounds it below by zero."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if (sign == "positive" and value <= 0) or (sign == "non-negative" and value < 0):
+        raise ConfigError(f"{name} must be {sign}, got {value!r}")
+
+
+def check_bool(value, name: str) -> None:
+    """Reject anything but ``True`` or ``False``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
 
 
 class DegeneratePathError(ValueError):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .environment import EXP_CLAMP, BoxEnvironment, ScoreConfig, batch_scores, penetration_profile
-from .errors import ConfigError, DegenerateBatchError, NonFiniteStepError
+from .errors import ConfigError, DegenerateBatchError, NonFiniteStepError, check_bool, check_integer, check_number
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
 
@@ -58,18 +58,14 @@ class NfgConfig:
     weight_mode: str = "shifted"
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not np.isfinite(self.n_pow) or self.n_pow <= 0.0:
-            raise ConfigError(f"n_pow must be positive, got {self.n_pow}")
-        if self.batch < 1:
-            raise ConfigError(f"batch must be at least 1, got {self.batch}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
+        check_number(self.sigma, "sigma", "positive")
+        check_number(self.n_pow, "n_pow", "positive")
+        check_integer(self.batch, "batch", 1)
+        check_integer(self.iterations, "iterations", 1)
+        check_number(self.step_size, "step_size", "positive")
+        check_bool(self.early_stop, "early_stop")
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
-        if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
-            raise ConfigError(f"step size must be positive, got {self.step_size}")
 
 
 @dataclass(frozen=True)

@@ -27,24 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, check_number
 
 _UINT64_MAX = 2**64 - 1
-
-
-def _check_integer(value, name: str) -> None:
-    """Reject anything but a Python or numpy integer (not a bool): Philox
-    would silently truncate a float key, and numpy raises a bare TypeError
-    on a float shape."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_uint64(value, name: str) -> None:
-    """Reject anything but an integer in [0, 2**64)."""
-    _check_integer(value, name)
-    if not (0 <= value <= _UINT64_MAX):
-        raise ConfigError(f"{name} must fit in 64 bits, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +40,8 @@ class SEKernel:
     length_scale: float = 0.22
 
     def __post_init__(self) -> None:
-        if not (self.variance > 0.0 and np.isfinite(self.variance)):
-            raise ConfigError(f"kernel variance must be positive, got {self.variance}")
-        if not (self.length_scale > 0.0 and np.isfinite(self.length_scale)):
-            raise ConfigError(f"kernel length_scale must be positive, got {self.length_scale}")
+        check_number(self.variance, "variance", "positive")
+        check_number(self.length_scale, "length_scale", "positive")
 
 
 def kernel_matrix(grid, kernel: SEKernel) -> np.ndarray:
@@ -86,8 +69,7 @@ def factorize(K: np.ndarray, reg: float) -> np.ndarray:
         raise ConfigError(f"kernel matrix must be square, got shape {K.shape}")
     if not np.array_equal(K, K.T):
         raise ConfigError("kernel matrix must be exactly symmetric")
-    if not (reg > 0.0 and np.isfinite(reg)):
-        raise ConfigError(f"regularization must be positive, got {reg}")
+    check_number(reg, "reg", "positive")
     try:
         L = np.linalg.cholesky(K + reg * np.eye(K.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -144,7 +126,7 @@ class PerturbationSampler:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_uint64(self.seed, "seed")
+        check_integer(self.seed, "seed", 0, _UINT64_MAX)
         object.__setattr__(self, "_engine", Generator(Philox(0)))
         object.__setattr__(self, "_lock", threading.Lock())
 
@@ -173,13 +155,10 @@ class PerturbationSampler:
         consumers that need unsmoothed noise (Wiener-process rollouts) use
         it directly.
         """
-        _check_integer(count, "count")
-        _check_integer(width, "width")
-        if count < 1:
-            raise ConfigError(f"count must be at least 1, got {count}")
-        if width < 1:
-            raise ConfigError(f"width must be at least 1, got {width}")
-        _check_uint64(stream, "stream")
+        # Integers only: Philox truncates a float key, and a float shape is a bare TypeError.
+        check_integer(count, "count", 1)
+        check_integer(width, "width", 1)
+        check_integer(stream, "stream", 0, _UINT64_MAX)
         key = np.array([self.seed, stream], dtype=np.uint64)
         state = {
             "bit_generator": "Philox",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import mean_abs_jerk
-from .errors import ConfigError, DegeneratePathError
+from .errors import ConfigError, DegeneratePathError, check_number
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -49,10 +49,8 @@ class TimeGrid:
     dt: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.horizon_seconds > 0.0 and np.isfinite(self.horizon_seconds)):
-            raise ConfigError(f"horizon_seconds must be positive and finite, got {self.horizon_seconds}")
-        if not (self.rate_hz > 0.0 and np.isfinite(self.rate_hz)):
-            raise ConfigError(f"rate_hz must be positive and finite, got {self.rate_hz}")
+        check_number(self.horizon_seconds, "horizon_seconds", "positive")
+        check_number(self.rate_hz, "rate_hz", "positive")
         raw = self.horizon_seconds * self.rate_hz
         steps = int(round(raw))
         if abs(raw - steps) > 1e-9 * max(1.0, abs(raw)):
@@ -195,8 +193,7 @@ def arc_length_times(path: WaypointPath, duration: float) -> np.ndarray:
         If ``duration`` is not positive, or the total arc length overflows
         to infinity.
     """
-    if not (duration > 0.0 and np.isfinite(duration)):
-        raise ConfigError(f"duration must be positive and finite, got {duration}")
+    check_number(duration, "duration", "positive")
     with np.errstate(over="ignore"):
         seg = np.abs(np.diff(path.waypoints[:, 0]))
         s = np.concatenate(([0.0], np.cumsum(seg)))
@@ -260,6 +257,15 @@ def write_csv(path: str, header, rows) -> None:
         raise
 
 
+def read_csv(path: str) -> list[list[str]]:
+    """Every row of the CSV file at ``path``; an unreadable file is a :class:`ConfigError`."""
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 TRAJECTORY_HEADER = ("t", "dim0")
 
 
@@ -278,8 +284,7 @@ def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     the values come back as one column of shape (m, 1). Full double
     precision survives the round trip.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path)
     if not rows or tuple(rows[0]) != TRAJECTORY_HEADER:
         raise ConfigError(f"{path}: expected trajectory header t,dim0")
     body = rows[1:]
@@ -299,8 +304,7 @@ def load_waypoints(path: str) -> np.ndarray:
     number. All remaining rows must share one column count; the result has
     one column per CSV column, and :class:`WaypointPath` accepts only one.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = [row for row in read_csv(path) if row]
     if not rows:
         raise ConfigError(f"{path}: empty waypoint file")
 

@@ -725,3 +725,44 @@ class TestCli:
         bad = tmp_path / "records.csv"
         bad.write_text("not,a,records,file\n")
         assert main(["summarize", "--records", str(bad)]) == 2
+
+    def exits_2_writing_nothing(self, tmp_path, capsys, argv, message):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_summarize_missing_records_exits_2(self, tmp_path, capsys):
+        argv = ["summarize", "--records", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "summary.csv")]
+        self.exits_2_writing_nothing(tmp_path, capsys, argv, "No such file")
+
+    def test_summarize_directory_as_records_exits_2(self, tmp_path, capsys):
+        (tmp_path / "records").mkdir()
+        argv = ["summarize", "--records", str(tmp_path / "records"), "--out", str(tmp_path / "summary.csv")]
+        self.exits_2_writing_nothing(tmp_path, capsys, argv, "Is a directory")
+
+    def test_summarize_records_without_rows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("method,seed,success,runtime_s,path_length,avg_jerk,iterations_used\n")
+        argv = ["summarize", "--records", str(path), "--out", str(tmp_path / "summary.csv")]
+        self.exits_2_writing_nothing(tmp_path, capsys, argv, "at least one record")
+
+    def test_summarize_oversized_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text('"' + "x" * 200_000 + '"\n')
+        argv = ["summarize", "--records", str(path), "--out", str(tmp_path / "summary.csv")]
+        self.exits_2_writing_nothing(tmp_path, capsys, argv, "field limit")
+
+    def test_evaluate_undecodable_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "waypoints.csv"
+        path.write_bytes(b"0.0\n\xff\xfe\n1.0\n")
+        argv = ["evaluate", "--path", str(path), "--env", "free-space", "--horizon", "1.0", "--rate", "100.0"]
+        self.exits_2_writing_nothing(tmp_path, capsys, argv, "can't decode")
+
+    def test_run_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(MINI_RAW).encode().replace(b"nfg", b"nf\xe9"))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        self.exits_2_writing_nothing(tmp_path, capsys, argv, "can't decode")
