@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .environment import BoxEnvironment, ScoreConfig, batch_scores, trajectory_score
+from .environment import BoxEnvironment, ScoreConfig, batch_scores
 from .errors import check_bool, check_integer, check_number
 from .nfg import IterationTrace, _iterate, _norm, _Step
 from .sampling import PerturbationSampler
@@ -101,7 +101,7 @@ def stomp_optimize(
 ) -> tuple[Trajectory, list[IterationTrace]]:
     """Reweighting updates y + sum_s w_s eps_s with the start pinned."""
     values0 = y0.values[:, 0]
-    times = y0.times()
+    times = y0.grid.times()
     dt = y0.grid.dt
 
     def reweight(values: np.ndarray, k: int) -> _Step:
@@ -164,12 +164,14 @@ def _outward_sign(table: _kernels.BoxTable, column: int, y: float, rng: np.rando
 
 
 def chomp_gradient(
-    y: Trajectory,
     env: BoxEnvironment,
+    values: np.ndarray,
+    times: np.ndarray,
+    dt: float,
     score_cfg: ScoreConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ascent direction on the trajectory score.
+    """Ascent direction on the score of the path ``values`` on grid ``times``.
 
     Colliding: unit push along the outward normal on every grid point of
     the deepest-penetration region (the contiguous colliding run containing
@@ -179,8 +181,7 @@ def chomp_gradient(
     the window signs with the reversed stencil. The only randomness is the
     tie-break at an exact midpoint.
     """
-    values = y.values[:, 0]
-    table = env.box_table(y.times())
+    table = env.box_table(times)
     profile = _kernels.penetration_profile_batch(values[None, :], table)[0]
     m = values.shape[0]
     if (profile < 0.0).any():
@@ -188,7 +189,7 @@ def chomp_gradient(
         direction = np.zeros(m)
         direction[region] = _outward_sign(table, deepest, float(values[deepest]), rng)
         return direction
-    dt3 = y.grid.dt**3
+    dt3 = dt**3
     windows = m - 3
     d3 = _kernels.third_difference(values)
     # Not _kernels.mean_abs_jerk: one division by windows*dt3 rounds
@@ -212,16 +213,15 @@ def chomp_optimize(
     """Fixed-size steps along :func:`chomp_gradient`, the deterministic
     update rule; ``rng`` only breaks midpoint ties."""
     values0 = y0.values[:, 0]
+    times = y0.grid.times()
+    dt = y0.grid.dt
 
     def descend(values: np.ndarray, k: int) -> _Step:
-        current = Trajectory(y0.grid, values)
-        score = trajectory_score(env, current, score_cfg)
-        direction = chomp_gradient(current, env, score_cfg, rng)
+        score = float(batch_scores(env, values[None, :], times, dt, score_cfg)[0])
+        direction = chomp_gradient(env, values, times, dt, score_cfg, rng)
         return _Step(cfg.step * direction, score, 0.0, _norm(direction))
 
-    values, traces = _iterate(
-        values0, cfg.iterations, cfg.early_stop, _collision_free(env, y0.times()), descend
-    )
+    values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), descend)
     return Trajectory(y0.grid, values), traces
 
 
@@ -313,7 +313,7 @@ def mppi_optimize(
     minimum rollout cost.
     """
     values0 = y0.values[:, 0]
-    times = y0.times()
+    times = y0.grid.times()
     table = env.box_table(times)
     scale = cfg.resolved_noise_scale(y0.grid.dt)
     m = values0.shape[0]

@@ -46,7 +46,6 @@ from .environment import (
     batch_scores,
     load_preset,
     penetration_profile,
-    trajectory_score,
 )
 from .errors import ConfigError, DegeneratePathError, NonFiniteStepError, check_integer, check_number
 from .nfg import IterationTrace, NfgConfig, optimize
@@ -109,6 +108,8 @@ class BenchConfig:
             raise ConfigError("config needs at least one method")
         if not self.seeds:
             raise ConfigError("config needs at least one seed")
+        for i, seed in enumerate(self.seeds):
+            check_integer(seed, f"seeds[{i}]", -np.inf)  # any integer: derive_seed hashes its text
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate method names in config: {names}")
@@ -156,6 +157,8 @@ def _typed(value, hint, where: str):
         if option is str and isinstance(value, str):
             return value
         if option in (int, float) and isinstance(value, int) and not isinstance(value, bool):
+            if option is float:
+                check_number(value, where)  # rejects an int beyond the float range
             return option(value)
         if option is float and isinstance(value, float):
             return value
@@ -243,8 +246,8 @@ def load_config(path: str) -> BenchConfig:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return parse_config(raw)
 
 
@@ -338,7 +341,7 @@ def run_single(
     except NonFiniteStepError as exc:
         raise NonFiniteStepError(exc.iteration, spec.name, seed) from None
     runtime = time.perf_counter() - t0
-    success = bool((penetration_profile(bench.environment, traj) == 0.0).all())
+    success = bool((penetration_profile(bench.environment, traj.values[:, 0], traj.grid.times()) == 0.0).all())
     record = RunRecord(
         method=spec.name,
         seed=seed,
@@ -576,15 +579,16 @@ def evaluate_external(
         jerk = average_abs_jerk(traj)
     if not np.isfinite(jerk):
         raise ConfigError("the resampled path's average jerk overflows; the waypoints are too large")
-    profile = penetration_profile(env, traj)
-    colliding = np.flatnonzero(profile < 0.0)
+    values = traj.values[:, 0]
+    times = grid.times()
+    colliding = np.flatnonzero(penetration_profile(env, values, times) < 0.0)
     success = colliding.size == 0
-    first_hit = None if success else float(traj.times()[colliding[0]])
+    first_hit = None if success else float(times[colliding[0]])
     return ExternalEvaluation(
         source=path_file,
         success=success,
         path_length=path_length(traj),
         avg_jerk=jerk if success else None,
         first_collision_time=first_hit,
-        score=trajectory_score(env, traj, score_cfg),
+        score=float(batch_scores(env, values[None, :], times, grid.dt, score_cfg)[0]),
     )

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, check_number
-from .trajectory import Trajectory
 
 EXP_CLAMP = 700.0
 
@@ -122,9 +121,12 @@ def penetration_step(env: BoxEnvironment, t: float, y: float) -> float:
     return s
 
 
-def penetration_profile(env: BoxEnvironment, traj: Trajectory) -> np.ndarray:
-    """Per-grid-point penetration values of a trajectory, shape (steps,)."""
-    return _kernels.penetration_profile_batch(traj.values.T, env.box_table(traj.times()))[0]
+def penetration_profile(env: BoxEnvironment, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Per-grid-point penetration values of one 1-D path: (steps,) values at (steps,) grid times."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or np.shape(times) != values.shape:
+        raise ValueError(f"need a 1-D path with one value per grid time, got shapes {values.shape} and {np.shape(times)}")
+    return _kernels.penetration_profile_batch(values[None, :], env.box_table(times))[0]
 
 
 def batch_scores(
@@ -147,8 +149,3 @@ def batch_scores(
     if np.shape(times) != values.shape[1:]:
         raise ValueError(f"need one time per grid point, got {np.shape(times)} for {values.shape[1]} points")
     return _kernels.batch_scores(values, env.box_table(times), cfg.lambda_jerk, dt)
-
-
-def trajectory_score(env: BoxEnvironment, traj: Trajectory, cfg: ScoreConfig) -> float:
-    """Score a single trajectory. See :func:`batch_scores`."""
-    return float(batch_scores(env, traj.values.T, traj.times(), traj.grid.dt, cfg)[0])

@@ -254,14 +254,14 @@ def optimize(
     collision-free when the iteration started.
     """
     values0 = mu0.values[:, 0]
-    times = mu0.times()
+    times = mu0.grid.times()
     dt = mu0.grid.dt
 
     def objective(batch_values: np.ndarray) -> np.ndarray:
         return batch_scores(env, batch_values, times, dt, score_cfg)
 
     def feasibility(values: np.ndarray) -> bool:
-        return bool((penetration_profile(env, Trajectory(mu0.grid, values)) == 0.0).all())
+        return bool((penetration_profile(env, values, times) == 0.0).all())
 
     final_values, traces = optimize_objective(values0, objective, sampler, cfg, feasibility=feasibility)
     return Trajectory(mu0.grid, final_values), traces

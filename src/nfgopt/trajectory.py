@@ -108,9 +108,6 @@ class Trajectory:
             )
         object.__setattr__(self, "values", values)
 
-    def times(self) -> np.ndarray:
-        return self.grid.times()
-
 
 @dataclass(frozen=True)
 class WaypointPath:
@@ -273,7 +270,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     write_csv(
         path,
         TRAJECTORY_HEADER,
-        ([f"{t:.17g}", f"{v:.17g}"] for t, v in zip(traj.times(), traj.values[:, 0])),
+        ([f"{t:.17g}", f"{v:.17g}"] for t, v in zip(traj.grid.times(), traj.values[:, 0])),
     )
 
 

@@ -31,6 +31,7 @@ from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_mat
 from nfgopt.trajectory import TimeGrid, Trajectory
 
 GRID = TimeGrid(1.0, 100.0)
+TIMES = GRID.times()
 ENV = narrow_passage_v1()
 SCORE = ScoreConfig()
 
@@ -98,7 +99,7 @@ class TestStompOptimize:
         out, traces = stomp_optimize(y0, ENV, SCORE, cfg, sampler)
         # one reweighting update y + sum_s w_s eps_s with the start pinned
         eps = sampler.sample(20, 0)
-        scores = batch_scores(ENV, eps, y0.times(), GRID.dt, SCORE)
+        scores = batch_scores(ENV, eps, y0.grid.times(), GRID.dt, SCORE)
         expected = y0.values[:, 0] + stomp_weights(1.0 - scores, cfg.temperature) @ eps
         expected[0] = y0.values[0, 0]
         np.testing.assert_array_equal(out.values[:, 0], expected)
@@ -141,15 +142,13 @@ class TestChompGradient:
             ChompConfig(**kwargs)
 
     def test_constant_free_trajectory_zero_gradient(self):
-        y = traj_1d(GRID, np.full(100, 3.0))
-        grad = chomp_gradient(y, BoxEnvironment(()), SCORE, np.random.default_rng(0))
+        grad = chomp_gradient(BoxEnvironment(()), np.full(100, 3.0), TIMES, GRID.dt, SCORE, np.random.default_rng(0))
         np.testing.assert_array_equal(grad, np.zeros(100))
 
     def test_colliding_unit_push_on_deepest_region(self):
         # y = 1 penetrates the first box deepest (depth 2 over t in [0.2, 0.25]);
         # the lower face is nearer so the push is -1 on exactly that run
-        y = traj_1d(GRID, np.full(100, 1.0))
-        grad = chomp_gradient(y, ENV, SCORE, np.random.default_rng(0))
+        grad = chomp_gradient(ENV, np.full(100, 1.0), TIMES, GRID.dt, SCORE, np.random.default_rng(0))
         expected = np.zeros(100)
         expected[20:26] = -1.0
         np.testing.assert_array_equal(grad, expected)
@@ -158,8 +157,7 @@ class TestChompGradient:
         env = BoxEnvironment(
             (BoxObstacle(0.1, 0.2, -0.5, 0.5), BoxObstacle(0.6, 0.7, -2.0, 2.0))
         )
-        y = traj_1d(GRID, np.zeros(100))
-        grad = chomp_gradient(y, env, SCORE, np.random.default_rng(0))
+        grad = chomp_gradient(env, np.zeros(100), TIMES, GRID.dt, SCORE, np.random.default_rng(0))
         assert np.all(grad[:60] == 0.0)
         # 70 * 0.01 rounds just past 0.7, so the run ends at index 69
         assert np.all(np.abs(grad[60:70]) == 1.0)
@@ -167,9 +165,8 @@ class TestChompGradient:
 
     def test_midpoint_tie_uses_both_signs(self):
         env = BoxEnvironment((BoxObstacle(0.0, 1.0, -1.0, 1.0),))
-        y = traj_1d(GRID, np.zeros(100))
         rng = np.random.default_rng(6)
-        signs = {chomp_gradient(y, env, SCORE, rng)[50] for _ in range(50)}
+        signs = {chomp_gradient(env, np.zeros(100), TIMES, GRID.dt, SCORE, rng)[50] for _ in range(50)}
         assert signs == {-1.0, 1.0}
 
     # y = 0.25 lies at depth 0.75 in [-1, 1], whose upper face is nearer
@@ -185,9 +182,9 @@ class TestChompGradient:
     )
     def test_overlapping_boxes_deepest_box_decides(self, second, in_order, reversed_order):
         boxes = (BoxObstacle(0.4, 0.6, -1.0, 1.0), BoxObstacle(0.4, 0.6, *second))
-        y = traj_1d(GRID, np.full(100, 0.25))
+        values = np.full(100, 0.25)
         for listed, sign in ((boxes, in_order), (boxes[::-1], reversed_order)):
-            grad = chomp_gradient(y, BoxEnvironment(listed), SCORE, np.random.default_rng(0))
+            grad = chomp_gradient(BoxEnvironment(listed), values, TIMES, GRID.dt, SCORE, np.random.default_rng(0))
             push = np.zeros(100)
             push[40:61] = sign
             np.testing.assert_array_equal(grad, push)
@@ -234,7 +231,7 @@ class TestChompGradient:
         score_cfg = ScoreConfig(lambda_jerk=1e-4)
         env = BoxEnvironment(())
         rng = np.random.default_rng(0)
-        grad = chomp_gradient(traj_1d(grid, values), env, score_cfg, rng)
+        grad = chomp_gradient(env, values, times, grid.dt, score_cfg, rng)
 
         def smoothness(v):
             d3 = v[3:] - 3.0 * v[2:-1] + 3.0 * v[1:-2] - v[:-3]
@@ -383,9 +380,7 @@ class TestMppiOptimize:
         out, traces = mppi_optimize(y0, ENV, cfg, sampler)
         eps = wiener_noise(sampler, 8, 10, 0.2, 0)
         candidates = y0.values[:, 0][None, :] + eps
-        pen = np.array(
-            [penetration_profile(ENV, traj_1d(grid, c)) for c in candidates]
-        )
+        pen = np.array([penetration_profile(ENV, c, grid.times()) for c in candidates])
         costs = 2.0 * (-pen).sum(axis=1) + 0.3 * ((candidates - 0.5) ** 2).sum(axis=1)
         weights = softmin_weights(costs, 0.7)
         expected = y0.values[:, 0] + weights @ eps

@@ -32,7 +32,7 @@ from nfgopt.environment import BoxObstacle, ScoreConfig, load_preset, penetratio
 from nfgopt.errors import ConfigError, DegeneratePathError, NonFiniteStepError
 from nfgopt.nfg import IterationTrace
 from nfgopt.sampling import factorize, kernel_matrix
-from nfgopt.trajectory import TimeGrid, Trajectory, read_trajectory_csv
+from nfgopt.trajectory import TimeGrid, read_trajectory_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,6 +168,7 @@ class TestStrictTypes:
             (lambda raw: raw.update(reg_scale=1e-3), "config: unknown keys ['reg_scale']"),
             (lambda raw: raw["methods"][0].update(step_size=[0.4] * 5), "methods[nfg].step_size must be float"),
             (lambda raw: raw["methods"].append({"name": "mppi", "goal": float("nan")}), "goal must be finite"),
+            (lambda raw: raw["methods"][0].update(sigma=10**400), "methods[nfg].sigma must be finite"),
         ],
     )
     def test_removed_or_invalid_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, edit, message):
@@ -179,6 +180,15 @@ class TestStrictTypes:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", [(1.5,), ("x",), (True,), (-3,)])
+    def test_seeds_must_be_integers(self, seeds):
+        cfg = mini_config()
+        if seeds == (-3,):
+            assert dataclasses.replace(cfg, seeds=seeds).seeds == (-3,)
+        else:
+            with pytest.raises(ConfigError, match=r"seeds\[0\] must be an integer"):
+                dataclasses.replace(cfg, seeds=seeds)
 
     def test_int_accepted_for_float_field(self, tmp_path):
         raw = copy.deepcopy(MINI_RAW)
@@ -345,9 +355,8 @@ class TestRunBenchmark:
         for record in records:
             path = tmp_path / record.method / str(record.seed) / "final_trajectory.csv"
             times, values = read_trajectory_csv(str(path))
-            traj = Trajectory(cfg.grid, values)
             np.testing.assert_allclose(times, cfg.grid.times(), atol=1e-12)
-            free = bool((penetration_profile(cfg.environment, traj) == 0.0).all())
+            free = bool((penetration_profile(cfg.environment, values[:, 0], cfg.grid.times()) == 0.0).all())
             assert free == record.success
 
 
@@ -760,6 +769,13 @@ class TestCli:
         path.write_bytes(b"0.0\n\xff\xfe\n1.0\n")
         argv = ["evaluate", "--path", str(path), "--env", "free-space", "--horizon", "1.0", "--rate", "100.0"]
         self.exits_2_writing_nothing(tmp_path, capsys, argv, "can't decode")
+
+    def test_run_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MINI_RAW).replace('"sigma": 1.0', '"sigma": 1' + "0" * 5000, 1))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        # past the limit (Python 3.11+) parsing fails; before it, sigma is not finite
+        self.exits_2_writing_nothing(tmp_path, capsys, argv, "error: ")
 
     def test_run_undecodable_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -1,11 +1,23 @@
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nfgopt._kernels as _kernels
-from nfgopt.baselines import _collision_free
+import nfgopt.environment as environment
+import nfgopt.trajectory as trajectory
+from nfgopt.baselines import (
+    ChompConfig,
+    MppiConfig,
+    StompConfig,
+    _collision_free,
+    chomp_optimize,
+    mppi_optimize,
+    stomp_optimize,
+)
 from nfgopt.bench import METHODS, parse_config, run_single
 from nfgopt.environment import (
     BoxEnvironment,
@@ -16,7 +28,6 @@ from nfgopt.environment import (
     narrow_passage_v1,
     penetration_profile,
     penetration_step,
-    trajectory_score,
 )
 from nfgopt.errors import ConfigError
 from nfgopt.nfg import NfgConfig, optimize
@@ -30,6 +41,11 @@ SCORE = ScoreConfig()
 
 def traj_1d(values):
     return Trajectory(GRID, np.asarray(values, dtype=float))
+
+
+def score_one(env, values):
+    """Score of one path on GRID, as a one-row batch."""
+    return float(batch_scores(env, np.asarray(values, dtype=float)[None, :], GRID.times(), GRID.dt, SCORE)[0])
 
 
 class TestBoxes:
@@ -105,29 +121,27 @@ class TestPenetrationStep:
 class TestTrajectoryScore:
     def test_constant_in_free_space(self):
         env = BoxEnvironment(())
-        assert trajectory_score(env, traj_1d(np.full(100, 1.5)), SCORE) == 1.0
+        assert score_one(env, np.full(100, 1.5)) == 1.0
 
     def test_all_zero_benchmark_oracle(self):
         # brute-force oracle: 6 grid points in the first box at depth 1 and
         # 21 in the second at depth 2, so the mean penetration is -48/100
-        assert trajectory_score(ENV, traj_1d(np.zeros(100)), SCORE) == -0.48
+        assert score_one(ENV, np.zeros(100)) == -0.48
 
     def test_known_jerk_value(self):
         # alternating values with amplitude 100 dt^3 / 8 give mean jerk 100
         amp = 100.0 * GRID.dt**3 / 8.0
         values = amp * (-1.0) ** np.arange(100)
         env = BoxEnvironment(())
-        traj = traj_1d(values)
-        assert average_abs_jerk(traj) == pytest.approx(100.0, rel=1e-9)
-        assert trajectory_score(env, traj, SCORE) == pytest.approx(0.9900498337491681, abs=1e-9)
+        assert average_abs_jerk(traj_1d(values)) == pytest.approx(100.0, rel=1e-9)
+        assert score_one(env, values) == pytest.approx(0.9900498337491681, abs=1e-9)
 
     def test_free_score_matches_jerk_formula(self):
         rng = np.random.default_rng(7)
         env = BoxEnvironment(())
         values = rng.normal(size=100)
-        traj = traj_1d(values)
-        expected = np.exp(-SCORE.lambda_jerk * average_abs_jerk(traj))
-        assert trajectory_score(env, traj, SCORE) == pytest.approx(expected, rel=1e-12)
+        expected = np.exp(-SCORE.lambda_jerk * average_abs_jerk(traj_1d(values)))
+        assert score_one(env, values) == pytest.approx(expected, rel=1e-12)
 
     def test_free_batch_score_is_exactly_the_jerk_score(self):
         # one stencil: the scoring kernel and average_abs_jerk agree bit for bit
@@ -144,7 +158,7 @@ class TestTrajectoryScore:
         feasible = np.interp(times, [0.0, 0.3, 0.35, 0.6, 0.7, 0.99], [-1.5, -1.5, -2.5, -2.5, 0.0, 0.0])
         rng = np.random.default_rng(8)
         colliding = rng.normal(scale=2.0, size=(200, 100))
-        free_score = trajectory_score(ENV, traj_1d(feasible), SCORE)
+        free_score = score_one(ENV, feasible)
         colliding_scores = batch_scores(ENV, colliding, times, GRID.dt, SCORE)
         assert free_score > 0.0
         assert colliding_scores.max() <= 0.0 < free_score
@@ -153,7 +167,7 @@ class TestTrajectoryScore:
         rng = np.random.default_rng(9)
         values = rng.normal(size=(16, 100))
         batch = batch_scores(ENV, values, GRID.times(), GRID.dt, SCORE)
-        singles = [trajectory_score(ENV, traj_1d(v), SCORE) for v in values]
+        singles = [score_one(ENV, v) for v in values]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
     def test_extra_obstacle_never_helps(self):
@@ -165,14 +179,26 @@ class TestTrajectoryScore:
         assert np.all(after <= before + 1e-12)
 
     def test_multi_dim_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
-            traj = Trajectory(GRID, np.zeros((100, 2)))
-            trajectory_score(ENV, traj, SCORE)
+        with pytest.raises(ValueError, match="2-D"):
+            batch_scores(ENV, np.zeros((1, 100, 2)), GRID.times(), GRID.dt, SCORE)
+
+    @pytest.mark.parametrize(
+        "values, times",
+        [
+            (np.zeros((100, 1)), GRID.times()),
+            (np.zeros((1, 100)), GRID.times()),
+            (0.0, GRID.times()),
+            (np.zeros(99), GRID.times()),
+            (np.zeros(100), GRID.times()[None, :]),
+        ],
+    )
+    def test_penetration_profile_checks_its_arguments(self, values, times):
+        with pytest.raises(ValueError, match="need a 1-D path with one value per grid time"):
+            penetration_profile(ENV, values, times)
 
     def test_penetration_profile_matches_steps(self):
-        values = np.zeros(100)
-        profile = penetration_profile(ENV, traj_1d(values))
         times = GRID.times()
+        profile = penetration_profile(ENV, np.zeros(100), times)
         expected = [penetration_step(ENV, float(t), 0.0) for t in times]
         np.testing.assert_array_equal(profile, expected)
 
@@ -182,6 +208,42 @@ class TestScoreConfig:
     def test_config_validation(self, lambda_jerk):
         with pytest.raises(ConfigError):
             ScoreConfig(lambda_jerk)
+
+
+class TestRunBoundary:
+    """The scoring helpers take value arrays, so a Trajectory is built only
+    where a run starts or ends."""
+
+    def test_scoring_layer_imports_only_kernels_and_errors(self):
+        tree = ast.parse(Path(environment.__file__).read_text())
+        internal = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                internal.update([node.module] if node.module else (a.name for a in node.names))
+        assert internal == {"_kernels", "errors"}
+
+    def test_each_optimizer_call_builds_one_trajectory(self, monkeypatch):
+        factor = factorize(kernel_matrix(GRID, SEKernel(0.29, 0.22)), 1e-6 * 0.29)
+        y0 = traj_1d(np.zeros(100))
+        runs = {
+            "nfg": lambda: optimize(y0, ENV, SCORE, PerturbationSampler(factor, 0), NfgConfig(iterations=5)),
+            "stomp": lambda: stomp_optimize(y0, ENV, SCORE, StompConfig(iterations=5), PerturbationSampler(factor, 0)),
+            "chomp": lambda: chomp_optimize(y0, ENV, SCORE, ChompConfig(iterations=5), np.random.default_rng(0)),
+            "mppi": lambda: mppi_optimize(y0, ENV, MppiConfig(iterations=5), PerturbationSampler(factor, 0)),
+        }
+        built = []
+        post_init = trajectory.Trajectory.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(trajectory.Trajectory, "__post_init__", counting)
+        for name, run in runs.items():
+            built.clear()
+            final, traces = run()
+            assert len(traces) == 5, name
+            assert len(built) == 1 and built[0] is final, name
 
 
 class TestBackends:

@@ -211,7 +211,7 @@ class TestResample:
         path = WaypointPath(np.array([0.0, 3.0, 4.0]))
         traj = resample(path, np.array([0.0, 3.0, 4.0]), grid)
         idx = int(round(3.5 / grid.dt))
-        assert traj.times()[idx] == 3.5
+        assert traj.grid.times()[idx] == 3.5
         assert traj.values[idx, 0] == pytest.approx(3.5)
 
     def test_round_trip_identity(self):
