@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import time
-import types
 import typing
 from dataclasses import dataclass
 
@@ -45,6 +44,7 @@ from .environment import (
     ScoreConfig,
     batch_scores,
     load_preset,
+    narrow_passage_v1,
     penetration_profile,
 )
 from .errors import ConfigError, DegeneratePathError, NonFiniteStepError, check_integer, check_number
@@ -81,11 +81,16 @@ SUMMARY_FIELDS = (
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A configured method: its name in :data:`METHODS` and its parsed
-    config dataclass."""
+    """A configured method: its name in :data:`METHODS` and an instance of
+    that method's config dataclass."""
 
     name: str
     config: object
+
+    def __post_init__(self) -> None:
+        method = _method(self.name)
+        if not isinstance(self.config, method.config):
+            raise ConfigError(f"method {self.name} needs a {method.config.__name__}, got {self.config!r}")
 
 
 # The kernel's jitter as a share of its variance: K + REG_SCALE*variance*I
@@ -93,28 +98,38 @@ class MethodSpec:
 REG_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BenchConfig:
-    environment: BoxEnvironment
-    grid: TimeGrid
-    kernel: SEKernel
-    score: ScoreConfig
+    """A benchmark. Its fields are the top-level keys of a JSON config, with
+    their types and defaults; each is checked against its type."""
+
+    environment: BoxEnvironment = dataclasses.field(default_factory=narrow_passage_v1)
+    grid: TimeGrid = TimeGrid()
+    kernel: SEKernel = SEKernel()
+    score: ScoreConfig = ScoreConfig()
     methods: tuple[MethodSpec, ...]
-    seeds: tuple[int, ...]
-    output_dir: str
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    output_dir: str = "results"
 
     def __post_init__(self) -> None:
+        hints = typing.get_type_hints(BenchConfig)
+        for f in dataclasses.fields(self):
+            kind = typing.get_origin(hints[f.name]) or hints[f.name]
+            if not isinstance(getattr(self, f.name), kind):
+                raise ConfigError(f"{f.name} must be a {kind.__name__}, got {getattr(self, f.name)!r}")
         if not self.methods:
-            raise ConfigError("config needs at least one method")
+            raise ConfigError("methods must not be empty")
+        if not all(isinstance(spec, MethodSpec) for spec in self.methods):
+            raise ConfigError(f"methods must hold MethodSpecs, got {self.methods!r}")
         if not self.seeds:
-            raise ConfigError("config needs at least one seed")
+            raise ConfigError("seeds must not be empty")
         for i, seed in enumerate(self.seeds):
             check_integer(seed, f"seeds[{i}]", -np.inf)  # any integer: derive_seed hashes its text
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate method names in config: {names}")
+            raise ConfigError(f"duplicate method names: {names}")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"duplicate seeds in config: {list(self.seeds)}")
+            raise ConfigError(f"duplicate seeds: {list(self.seeds)}")
 
     @property
     def reg(self) -> float:
@@ -143,101 +158,58 @@ class RunRecord:
             raise ValueError("avg_jerk must be present exactly for successful runs")
 
 
-def _typed(value, hint, where: str):
-    """``value`` checked against the type ``hint``, never coerced except
-    that an int is accepted, as a float, where a float is expected. JSON
-    lists stand for tuples and JSON objects for dataclasses."""
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    options = typing.get_args(hint) if union else (hint,)
-    for option in options:
-        if option is type(None) and value is None:
-            return None
-        if option is bool and isinstance(value, bool):
-            return value
-        if option is str and isinstance(value, str):
-            return value
-        if option in (int, float) and isinstance(value, int) and not isinstance(value, bool):
-            if option is float:
-                check_number(value, where)  # rejects an int beyond the float range
-            return option(value)
-        if option is float and isinstance(value, float):
-            return value
-        if option is dict and isinstance(value, dict):
-            return value
-        if dataclasses.is_dataclass(option) and isinstance(value, dict):
-            return _from_fields(option, value, where)
-        if typing.get_origin(option) is tuple and isinstance(value, (list, tuple)):
-            item = typing.get_args(option)[0]
-            return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-    name = hint.__name__ if isinstance(hint, type) else str(hint)
-    raise ConfigError(f"{where} must be {name}, got {value!r}")
-
-
-def _checked(params, schema: dict, where: str) -> dict:
-    """The JSON object ``params`` checked against ``schema``, which maps
-    each allowed key to its (type, default), a default of MISSING marking a
-    required key. Every allowed key is in the result: a given value checked
-    by :func:`_typed`, an absent one as its default."""
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where} must be an object, got {params!r}")
-    unknown = set(params) - set(schema)
+def _from_json(value, hint, where: str):
+    """``value`` from a JSON document, at path ``where``, mapped onto the type
+    ``hint``: by the function :data:`_TRANSLATIONS` holds for ``hint``, if
+    any; a JSON object (and nothing else) onto a dataclass, whose init fields
+    are its keys; a JSON list onto a tuple of the item type; any other value
+    unchanged, so an integer stays an integer. The dataclass checks its
+    fields itself, and ``where`` prefixes any ConfigError it raises."""
+    if hint in _TRANSLATIONS:
+        return _TRANSLATIONS[hint](value, where)
+    if isinstance(value, list) and typing.get_origin(hint) is tuple:
+        return tuple(_from_json(v, typing.get_args(hint)[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if not dataclasses.is_dataclass(hint):
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    fields = {f.name: f for f in dataclasses.fields(hint) if f.init}
+    unknown = set(value) - set(fields)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(schema)}")
-    missing = [key for key, (_, default) in schema.items() if key not in params and default is dataclasses.MISSING]
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(fields)}")
+    missing = [k for k, f in fields.items() if k not in value and f.default is f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{where}: missing keys {missing}")
-    return {
-        key: _typed(params[key], hint, f"{where}.{key}") if key in params else default
-        for key, (hint, default) in schema.items()
-    }
+    hints = typing.get_type_hints(hint)
+    kwargs = {k: _from_json(v, hints[k], f"{where}.{k}") for k, v in value.items()}
+    try:
+        return hint(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _from_fields(cls, params, where: str):
-    """Dataclass ``cls`` built from the JSON object ``params``: its init
-    fields are the keys, with their types and defaults."""
-    hints = typing.get_type_hints(cls)
-    schema = {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.init}
-    return cls(**_checked(params, schema, where))
+def _environment(value, where: str):
+    """A preset name or a JSON list of boxes as a BoxEnvironment; any other value is left for BenchConfig."""
+    if isinstance(value, str):
+        return load_preset(value)
+    return BoxEnvironment(_from_json(value, tuple[BoxObstacle, ...], where)) if isinstance(value, list) else value
 
 
-# The top-level keys of a benchmark config with their types and defaults.
-CONFIG_FIELDS = {
-    "environment": (str | tuple[BoxObstacle, ...], "narrow-passage-v1"),
-    "grid": (TimeGrid, TimeGrid()),
-    "kernel": (SEKernel, SEKernel()),
-    "score": (ScoreConfig, ScoreConfig()),
-    "methods": (tuple[dict, ...], dataclasses.MISSING),
-    "seeds": (tuple[int, ...], (0, 1, 2, 3, 4)),
-    "output_dir": (str, "results"),
-}
+def _method_spec(params, where: str) -> MethodSpec:
+    """A ``methods`` entry: a ``name`` from :data:`METHODS` and that method's config fields."""
+    if not isinstance(params, dict) or "name" not in params:
+        raise ConfigError(f"{where} must be an object with a name, got {params!r}")
+    name, fields = params["name"], {k: v for k, v in params.items() if k != "name"}
+    return MethodSpec(name, _from_json(fields, _method(name).config, f"methods[{name}]"))
 
 
-def _method_spec(params: dict, where: str) -> MethodSpec:
-    """One ``methods`` entry: a ``name`` from :data:`METHODS` and that
-    method's config fields."""
-    params = dict(params)
-    if "name" not in params:
-        raise ConfigError(f"{where}: missing keys ['name']")
-    name = _typed(params.pop("name"), str, f"{where}.name")
-    method = METHODS.get(name)
-    if method is None:
-        raise ConfigError(f"unknown method {name!r}; known methods: {', '.join(METHODS)}")
-    return MethodSpec(name, _from_fields(method.config, params, f"methods[{name}]"))
+# The types a JSON config gives in its own form rather than field by field.
+_TRANSLATIONS = {BoxEnvironment: _environment, MethodSpec: _method_spec}
 
 
 def parse_config(raw: dict) -> BenchConfig:
     """Build a validated BenchConfig from a parsed JSON document."""
-    top = _checked(raw, CONFIG_FIELDS, "config")
-    env = top["environment"]
-    return BenchConfig(
-        environment=load_preset(env) if isinstance(env, str) else BoxEnvironment(env),
-        grid=top["grid"],
-        kernel=top["kernel"],
-        score=top["score"],
-        methods=tuple(_method_spec(params, f"methods[{i}]") for i, params in enumerate(top["methods"])),
-        seeds=top["seeds"],
-        output_dir=top["output_dir"],
-    )
+    return _from_json(raw, BenchConfig, "config")
 
 
 def load_config(path: str) -> BenchConfig:
@@ -301,6 +273,13 @@ METHODS = {
     "chomp": Method(ChompConfig, _run_chomp),
     "mppi": Method(MppiConfig, _run_mppi),
 }
+
+
+def _method(name) -> Method:
+    """The :data:`METHODS` entry called ``name``."""
+    if isinstance(name, str) and name in METHODS:
+        return METHODS[name]
+    raise ConfigError(f"unknown method {name!r}; known methods: {', '.join(METHODS)}")
 
 
 def _warm_kernels(env: BoxEnvironment, grid: TimeGrid, score: ScoreConfig) -> None:

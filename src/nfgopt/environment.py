@@ -43,6 +43,8 @@ class BoxEnvironment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boxes", tuple(self.boxes))
+        if not all(isinstance(box, BoxObstacle) for box in self.boxes):
+            raise ConfigError(f"boxes must be BoxObstacles, got {self.boxes!r}")
         # Box tables by the bytes of their grid times; not a field, so
         # equality, hashing and repr see only the boxes.
         object.__setattr__(self, "_tables", {})

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,8 @@ class TimeGrid:
         check_number(self.horizon_seconds, "horizon_seconds", "positive")
         check_number(self.rate_hz, "rate_hz", "positive")
         raw = self.horizon_seconds * self.rate_hz
+        if not raw <= sys.float_info.max:  # inf, or an integer product beyond the float range
+            raise ConfigError(f"horizon_seconds * rate_hz must be finite, got {raw!r}")
         steps = int(round(raw))
         if abs(raw - steps) > 1e-9 * max(1.0, abs(raw)):
             raise ConfigError(

@@ -2,17 +2,21 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import types
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nfgopt.baselines import ChompConfig
+from nfgopt.baselines import ChompConfig, MppiConfig, StompConfig
 from nfgopt.bench import (
     REG_SCALE,
+    BenchConfig,
     MethodSpec,
     RunRecord,
     aggregate,
@@ -30,8 +34,8 @@ from nfgopt.bench import (
 from nfgopt.cli import main
 from nfgopt.environment import BoxObstacle, ScoreConfig, load_preset, penetration_profile
 from nfgopt.errors import ConfigError, DegeneratePathError, NonFiniteStepError
-from nfgopt.nfg import IterationTrace
-from nfgopt.sampling import factorize, kernel_matrix
+from nfgopt.nfg import IterationTrace, NfgConfig
+from nfgopt.sampling import SEKernel, factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, read_trajectory_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +54,76 @@ MINI_RAW = {
 
 def mini_config():
     return parse_config(copy.deepcopy(MINI_RAW))
+
+
+# One config that reaches every config dataclass: the top level, grid,
+# kernel, score, one box and each of the four methods.
+FULL_RAW = {
+    "environment": [{"t_lo": 0.1, "t_hi": 0.2, "y_lo": -1.0, "y_hi": 1.0}],
+    "grid": {"horizon_seconds": 0.3, "rate_hz": 100.0},
+    "kernel": {"variance": 0.29, "length_scale": 0.1},
+    "score": {"lambda_jerk": 1e-4},
+    "seeds": [0],
+    "output_dir": "results",
+    "methods": [
+        {"name": "nfg", "batch": 4, "iterations": 2},
+        {"name": "stomp", "batch": 4, "iterations": 2},
+        {"name": "chomp", "iterations": 2},
+        {"name": "mppi", "rollouts": 4, "iterations": 2},
+    ],
+}
+
+# (where the object sits in FULL_RAW, the dataclass it maps onto, the JSON
+# path that error messages name)
+CONFIG_SITES = [
+    ((), BenchConfig, "config"),
+    (("grid",), TimeGrid, "config.grid"),
+    (("kernel",), SEKernel, "config.kernel"),
+    (("score",), ScoreConfig, "config.score"),
+    (("environment", 0), BoxObstacle, "config.environment[0]"),
+    (("methods", 0), NfgConfig, "methods[nfg]"),
+    (("methods", 1), StompConfig, "methods[stomp]"),
+    (("methods", 2), ChompConfig, "methods[chomp]"),
+    (("methods", 3), MppiConfig, "methods[mppi]"),
+]
+
+# one value of each JSON kind; a float for an integer field is integral, so
+# only its type is wrong
+JSON_KINDS = {"string": "x", "bool": True, "list": [1.0], "object": {"x": 1.0}, "float": 3.0, "integer": 3, "null": None}
+
+
+def accepted_kinds(cls, field):
+    """The JSON kinds a field takes, read from its type hint; the top-level
+    environment is a preset name or a list of boxes."""
+    if (cls, field) == (BenchConfig, "environment"):
+        return {"string", "list"}
+    hint = typing.get_type_hints(cls)[field]
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = set()
+    for option in typing.get_args(hint) if union else (hint,):
+        if dataclasses.is_dataclass(option):
+            kinds.add("object")
+        elif typing.get_origin(option) is tuple:
+            kinds.add("list")
+        else:
+            kinds |= {float: {"float", "integer"}, int: {"integer"}, bool: {"bool"}, str: {"string"}, type(None): {"null"}}[option]
+    return kinds
+
+
+def wrong_type_cases():
+    for location, cls, where in CONFIG_SITES:
+        for field in (f.name for f in dataclasses.fields(cls) if f.init):
+            for kind in sorted(JSON_KINDS.keys() - accepted_kinds(cls, field)):
+                yield pytest.param(location, field, JSON_KINDS[kind], where, id=f"{where}.{field}-{kind}")
+
+
+def with_value(location, field, value):
+    raw = copy.deepcopy(FULL_RAW)
+    target = raw
+    for part in location:
+        target = target[part]
+    target[field] = value
+    return raw
 
 
 def strip_runtime(record):
@@ -166,9 +240,16 @@ class TestStrictTypes:
         "edit,message",
         [
             (lambda raw: raw.update(reg_scale=1e-3), "config: unknown keys ['reg_scale']"),
-            (lambda raw: raw["methods"][0].update(step_size=[0.4] * 5), "methods[nfg].step_size must be float"),
+            (
+                lambda raw: raw["methods"][0].update(step_size=[0.4] * 5),
+                "methods[nfg]: step_size must be a number, got [0.4, 0.4, 0.4, 0.4, 0.4]",
+            ),
             (lambda raw: raw["methods"].append({"name": "mppi", "goal": float("nan")}), "goal must be finite"),
-            (lambda raw: raw["methods"][0].update(sigma=10**400), "methods[nfg].sigma must be finite"),
+            (lambda raw: raw["methods"][0].update(sigma=10**400), f"methods[nfg]: sigma must be finite, got {10**400}"),
+            (
+                lambda raw: raw["grid"].update(horizon_seconds=1e300, rate_hz=1e300),
+                "config.grid: horizon_seconds * rate_hz must be finite, got inf",
+            ),
         ],
     )
     def test_removed_or_invalid_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, edit, message):
@@ -192,12 +273,68 @@ class TestStrictTypes:
 
     def test_int_accepted_for_float_field(self, tmp_path):
         raw = copy.deepcopy(MINI_RAW)
-        raw["methods"][0].update(sigma=1, step_size=1, n_pow=50)
-        raw["grid"]["rate_hz"] = 100
-        cfg = parse_config(raw)
+        raw["methods"][0].update(sigma=1.0, step_size=1.0, n_pow=50.0)
+        raw["methods"] += [
+            {"name": "stomp", "sigma": 1.0, "batch": 10, "iterations": 5, "temperature": 3.0},
+            {"name": "mppi", "rollouts": 10, "iterations": 5, "temperature": 1.0, "weight_obs": 10.0, "goal": 0.0},
+        ]
+        # the same document with every whole-valued float written as a JSON integer
+        text = json.dumps(raw)
+        whole = json.loads(text, parse_float=lambda s: int(float(s)) if float(s).is_integer() else float(s))
+        cfg = parse_config(whole)
         assert cfg.grid == TimeGrid(0.3, 100.0)
-        records = run_benchmark(cfg, out_dir=str(tmp_path))
-        assert [r.method for r in records] == ["nfg", "nfg", "chomp", "chomp"]
+        assert {type(cfg.grid.rate_hz), type(cfg.methods[0].config.step_size), type(cfg.methods[3].config.goal)} == {int}
+        records = run_benchmark(cfg, out_dir=str(tmp_path / "whole"))
+        assert [r.method for r in records] == ["nfg", "nfg", "chomp", "chomp", "stomp", "stomp", "mppi", "mppi"]
+        expected = run_benchmark(parse_config(raw), out_dir=str(tmp_path / "float"))
+        assert [strip_runtime(r) for r in records] == [strip_runtime(r) for r in expected]
+
+    @pytest.mark.parametrize("location,field,value,where", wrong_type_cases())
+    def test_every_field_rejects_a_wrong_json_type(self, location, field, value, where):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(with_value(location, field, value))
+        # the message names the JSON path and the field: "config.grid must
+        # be an object", "config: grid must be a TimeGrid", "methods[nfg]:
+        # batch must be an integer"
+        assert re.match(rf"{re.escape(where)}(\.|: ){field} must be ", str(excinfo.value)), str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "location,field,value,where",
+        [next(case for case in wrong_type_cases() if case.values[3] == where) for _, _, where in CONFIG_SITES],
+    )
+    def test_wrong_json_type_exits_2_and_writes_nothing(self, tmp_path, capsys, location, field, value, where):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(with_value(location, field, value)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("environment", "narrow-passage-v1"),
+            ("grid", None),
+            ("kernel", {"variance": 0.29}),
+            ("score", 1e-4),
+            ("methods", [MethodSpec("chomp", ChompConfig())]),
+            ("methods", ("chomp",)),
+            ("seeds", [0, 1]),
+            ("output_dir", None),
+        ],
+    )
+    def test_bench_config_checks_its_own_fields(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must "):
+            dataclasses.replace(mini_config(), **{field: value})
+
+    def test_method_spec_config_must_match_its_method(self):
+        with pytest.raises(ConfigError, match="method nfg needs a NfgConfig, got ChompConfig"):
+            dataclasses.replace(mini_config(), methods=(MethodSpec("nfg", ChompConfig()),))
+
+    @pytest.mark.parametrize("name", ["warp", 5, ["nfg"], None])
+    def test_method_spec_name_must_be_a_method(self, name):
+        with pytest.raises(ConfigError, match="unknown method"):
+            MethodSpec(name, ChompConfig())
 
 
 class TestDeriveSeed:
@@ -612,6 +749,13 @@ class TestCli:
         text = capsys.readouterr().out
         assert "success:      false" in text
         assert "first_collision_t: 0.4" in text
+
+    def test_evaluate_grid_overflow_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "line.csv"
+        src.write_text("0.0\n1.0\n")
+        args = ["evaluate", "--path", str(src), "--env", "free-space", "--horizon", "1e300", "--rate", "1e300"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: horizon_seconds * rate_hz must be finite, got inf\n"
 
     def test_evaluate_unknown_preset(self, tmp_path):
         src = tmp_path / "line.csv"

@@ -1,7 +1,7 @@
 """The README against the code: its CLI block against the argument
-parser, its Configuration section against the config parser, its
-Library example against the package, and the package root's exports
-against the README and the benchmark."""
+parser, its Configuration section against the config parser and the
+packaged config, its Library example against the package, and the
+package root's exports against the README and the benchmark."""
 
 import argparse
 import dataclasses
@@ -9,7 +9,7 @@ import json
 import re
 from pathlib import Path
 
-from nfgopt.bench import CONFIG_FIELDS, METHODS
+from nfgopt.bench import METHODS, BenchConfig, load_config, parse_config
 from nfgopt.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,7 +41,13 @@ def test_readme_lists_every_config_key():
     # the jsonc example has exactly the top-level keys the parser accepts
     example = re.search(r"```jsonc\n(.*?)```", text, flags=re.DOTALL).group(1)
     document = json.loads(re.sub(r"//[^\n]*", "", example))
-    assert set(document) == set(CONFIG_FIELDS)
+    assert set(document) == {f.name for f in dataclasses.fields(BenchConfig)}
+
+
+def test_readme_config_example_is_the_packaged_config():
+    example = re.search(r"```jsonc\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
+    document = json.loads(re.sub(r"//[^\n]*", "", example))
+    assert parse_config(document) == load_config(str(README.parent / "configs" / "narrow_passage.json"))
 
 
 def test_readme_library_snippet_runs():

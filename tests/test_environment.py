@@ -68,6 +68,11 @@ class TestBoxes:
         )
         np.testing.assert_array_equal(boxes, expected)
 
+    @pytest.mark.parametrize("boxes", [("box",), ((0.0, 1.0, -1.0, 1.0),), [BoxObstacle(0.0, 1.0, -1.0, 1.0), None]])
+    def test_environment_holds_only_boxes(self, boxes):
+        with pytest.raises(ConfigError, match="^boxes must be BoxObstacles"):
+            BoxEnvironment(boxes)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown environment preset"):
             load_preset("narrow-passage-v9")

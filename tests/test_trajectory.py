@@ -55,6 +55,11 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             TimeGrid(horizon, rate)
 
+    @pytest.mark.parametrize("horizon,rate", [(1e300, 1e300), (10**200, 10**200), (10**200, 1e200)])
+    def test_step_count_beyond_the_float_range_rejected(self, horizon, rate):
+        with pytest.raises(ConfigError, match=r"^horizon_seconds \* rate_hz must be finite"):
+            TimeGrid(horizon, rate)
+
 
 class TestTrajectory:
     def test_one_dim_promotion(self):
