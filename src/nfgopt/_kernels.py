@@ -85,12 +85,12 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable) -> np.ndarray
     return s
 
 
-def third_difference(values: np.ndarray) -> np.ndarray:
+def third_difference(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``v[t+3] - 3 v[t+2] + 3 v[t+1] - v[t]`` along the last axis, which
     has ``n - 3`` windows for ``n`` points: the jerk stencil every method
     scores with. Evaluated as ``((v3 - 3 v2) + 3 v1) - v0`` into one output
-    buffer."""
-    out = np.multiply(values[..., 2:-1], 3.0)
+    buffer, ``out`` if given."""
+    out = np.multiply(values[..., 2:-1], 3.0, out=out)
     np.subtract(values[..., 3:], out, out=out)
     out += np.multiply(values[..., 1:-2], 3.0)
     return np.subtract(out, values[..., :-3], out=out)
@@ -128,10 +128,38 @@ def mean_abs_jerk(values: np.ndarray, dt: float) -> np.ndarray | np.float64:
     ``n - 3`` windows, divided by their count, then by dt^3, which is what
     ``np.abs(d3).mean() / dt**3`` computes. A float for one path, an array
     of shape (B,) for a (B, m) batch."""
-    d3 = third_difference(values)
-    jerk = np.add.reduce(np.abs(d3, out=d3), axis=-1) / d3.shape[-1]
+    total = None
+    if values.ndim == 2 and values.shape[1] > 3 and values.dtype == np.float64 and values.flags.c_contiguous:
+        total = _flat_abs_jerk_sums(values)
+    if total is None or not np.isfinite(total).all():  # 1-D, strided, or a window overflowed
+        d3 = third_difference(values)
+        total = np.add.reduce(np.abs(d3, out=d3), axis=-1)
+    jerk = total / (values.shape[-1] - 3)
     jerk /= dt**3
     return jerk
+
+
+def _flat_abs_jerk_sums(values: np.ndarray) -> np.ndarray:
+    """Row sums of |third difference| for a C-contiguous float64 (B, m)
+    batch, m > 3.
+
+    The stencil and |.| run as 1-D passes over the flattened batch, which
+    numpy does about 3x faster per element than over (B, m - 3) row slices.
+    Each window within a row gets the same operations as in
+    :func:`third_difference`, and the sum reduces the same contiguous
+    (m - 3) values per row, so every finite sum is bit-identical. The
+    windows that straddle two rows are computed too and never read; they
+    may overflow, so the passes ignore floating-point errors. A window
+    within a row that overflows or is invalid leaves its row's sum inf or
+    NaN, and the caller then recomputes the batch row by row, which raises
+    the same warnings as ever.
+    """
+    n = values.size
+    buf = np.empty(n)
+    with np.errstate(all="ignore"):
+        d3 = third_difference(values.reshape(n), out=buf[: n - 3])
+        np.abs(d3, out=d3)
+        return np.add.reduce(buf.reshape(values.shape)[:, :-3], axis=1)
 
 
 def _jerk_bonus(values: np.ndarray, lambda_jerk: float, dt: float) -> np.ndarray:

@@ -78,7 +78,7 @@ class StompConfig:
 
     def __post_init__(self) -> None:
         check_number(self.sigma, "sigma", "non-negative")
-        check_integer(self.batch, "batch", 2)  # reweighting needs two samples
+        check_integer(self.batch, "batch", 2, np.iinfo(np.intp).max)  # reweighting needs two samples
         check_integer(self.iterations, "iterations", 1)
         check_number(self.temperature, "temperature", "positive")
         check_bool(self.early_stop, "early_stop")
@@ -252,7 +252,7 @@ class MppiConfig:
     early_stop: bool = False
 
     def __post_init__(self) -> None:
-        check_integer(self.rollouts, "rollouts", 2)  # reweighting needs two samples
+        check_integer(self.rollouts, "rollouts", 2, np.iinfo(np.intp).max)  # reweighting needs two samples
         check_integer(self.iterations, "iterations", 1)
         check_number(self.temperature, "temperature", "positive")
         if self.noise_scale is not None:

@@ -56,6 +56,7 @@ from .trajectory import (
     WaypointPath,
     arc_length_times,
     average_abs_jerk,
+    csv_cell,
     load_waypoints,
     path_length,
     read_csv,
@@ -423,18 +424,11 @@ def write_records_csv(path: str, records: list[RunRecord]) -> None:
     write_csv(
         path,
         RECORD_FIELDS,
-        (
-            [
-                r.method,
-                r.seed,
-                "true" if r.success else "false",
-                f"{r.runtime:.17g}",
-                f"{r.path_length:.17g}",
-                "" if r.avg_jerk is None else f"{r.avg_jerk:.17g}",
-                r.iterations_used,
-            ]
+        [
+            f"{csv_cell(r.method)},{r.seed},{'true' if r.success else 'false'},{r.runtime:.17g},"
+            f"{r.path_length:.17g},{'' if r.avg_jerk is None else format(r.avg_jerk, '.17g')},{r.iterations_used}"
             for r in records
-        ),
+        ],
     )
 
 
@@ -473,7 +467,7 @@ def write_summary_csv(path: str, rows: list[dict]) -> None:
     write_csv(
         path,
         SUMMARY_FIELDS,
-        ([row["method"]] + [_fmt(row[field]) for field in SUMMARY_FIELDS[1:]] for row in rows),
+        [",".join([csv_cell(row["method"]), *(_fmt(row[field]) for field in SUMMARY_FIELDS[1:])]) for row in rows],
     )
 
 
@@ -500,21 +494,15 @@ TRACE_FIELDS = ("method", "iter", "best_score", "mean_weight", "grad_norm", "fea
 
 
 def write_trace_csv(path: str, traces: list[IterationTrace], method: str) -> None:
+    method = csv_cell(method)
     write_csv(
         path,
         TRACE_FIELDS,
-        (
-            [
-                method,
-                t.iteration,
-                f"{t.best_score:.17g}",
-                f"{t.mean_weight:.17g}",
-                f"{t.estimator_norm:.17g}",
-                "true" if t.feasible else "false",
-                f"{t.wall_time:.17g}",
-            ]
+        [
+            f"{method},{t.iteration},{t.best_score:.17g},{t.mean_weight:.17g},{t.estimator_norm:.17g},"
+            f"{'true' if t.feasible else 'false'},{t.wall_time:.17g}"
             for t in traces
-        ),
+        ],
     )
 
 

@@ -60,7 +60,7 @@ class NfgConfig:
     def __post_init__(self) -> None:
         check_number(self.sigma, "sigma", "positive")
         check_number(self.n_pow, "n_pow", "positive")
-        check_integer(self.batch, "batch", 1)
+        check_integer(self.batch, "batch", 1, np.iinfo(np.intp).max)  # numpy's longest axis
         check_integer(self.iterations, "iterations", 1)
         check_number(self.step_size, "step_size", "positive")
         check_bool(self.early_stop, "early_stop")

@@ -15,12 +15,14 @@ is one ``standard_normal((count, width))`` draw from it, filled row by
 row. A batch is thus a pure function of ``(seed, stream, count, width)``,
 and a smaller batch of the same width is a prefix of a larger one. The
 optimizers use iteration k's substream for iteration k. Each sampler holds
-one engine and resets it to a new engine's state on every call, which gives
-the same stream without building an engine per call.
+one engine and one start state, and on every call writes the stream into
+that state's key and resets the engine to it, which gives the same stream
+without building an engine or a state per call.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -42,6 +44,16 @@ class SEKernel:
     def __post_init__(self) -> None:
         check_number(self.variance, "variance", "positive")
         check_number(self.length_scale, "length_scale", "positive")
+        # kernel_matrix divides by 2 * length_scale**2: a square that
+        # underflows to 0 or leaves the float range is no length scale.
+        try:
+            denominator = 2.0 * float(self.length_scale) ** 2
+        except OverflowError:
+            denominator = math.inf
+        if not 0.0 < denominator < math.inf:
+            raise ConfigError(
+                f"length_scale must give a positive finite 2 * length_scale**2, got {self.length_scale!r}"
+            )
 
 
 def kernel_matrix(grid, kernel: SEKernel) -> np.ndarray:
@@ -116,10 +128,11 @@ class PerturbationSampler:
     partitions the seed into independent substreams, each read from its
     start by every call. Two calls with the same stream return identical
     output, and a call for fewer rows returns a prefix of a call for more.
-    The sampler's one Philox engine is reset on every call, behind a lock;
-    it is not a field, so equality, hashing, repr and pickling see only
-    ``factor`` and ``seed``. Two samplers are equal when their seeds are
-    equal and their factors have the same shape and entries.
+    The sampler's one Philox engine is reset on every call, behind a lock,
+    to a start state built once; neither is a field, so equality, hashing,
+    repr and pickling see only ``factor`` and ``seed``. Two samplers are
+    equal when their seeds are equal and their factors have the same shape
+    and entries.
     """
 
     factor: np.ndarray
@@ -129,6 +142,19 @@ class PerturbationSampler:
         check_integer(self.seed, "seed", 0, _UINT64_MAX)
         object.__setattr__(self, "_engine", Generator(Philox(0)))
         object.__setattr__(self, "_lock", threading.Lock())
+        # The state a new engine keyed on (seed, stream) starts from; normals
+        # writes the stream into key[1] before each reset.
+        key = np.array([self.seed, 0], dtype=np.uint64)
+        start = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_start", start)
 
     def __eq__(self, other):
         if not isinstance(other, PerturbationSampler):
@@ -159,18 +185,10 @@ class PerturbationSampler:
         check_integer(count, "count", 1)
         check_integer(width, "width", 1)
         check_integer(stream, "stream", 0, _UINT64_MAX)
-        key = np.array([self.seed, stream], dtype=np.uint64)
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
         # Not the bit generator's own lock: standard_normal takes that one.
         with self._lock:
-            self._engine.bit_generator.state = state
+            self._key[1] = stream
+            self._engine.bit_generator.state = self._start
             return self._engine.standard_normal((count, width))
 
     def sample(self, count: int, stream: int) -> np.ndarray:

@@ -240,21 +240,32 @@ def resample(path: WaypointPath, timestamps: np.ndarray, grid: TimeGrid) -> Traj
     return Trajectory(grid, np.interp(grid_times, t, path.waypoints[:, 0]))
 
 
-def write_csv(path: str, header, rows) -> None:
-    """Write ``header`` and ``rows`` as CSV to ``<path>.tmp``, then rename it
-    onto ``path`` (no fsync). A failure, such as a cell that fails to format
-    as ``rows`` is consumed, keeps the previous file and removes the temporary."""
+def write_csv(path: str, header, lines) -> None:
+    """Write a CSV file of the ``header`` cells and ``lines``, each one
+    rendered row, every line ended by CRLF as :mod:`csv` ends it.
+
+    The whole text is rendered before ``<path>.tmp`` is opened, so a cell
+    that fails to format raises first; it is then written in one call and
+    renamed onto ``path`` (no fsync). A failure keeps the previous file and
+    removes the temporary."""
+    text = "\r\n".join([",".join(header), *lines, ""])
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted where :mod:`csv` quotes it: when it
+    holds a comma, a double quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_csv(path: str) -> list[list[str]]:
@@ -270,11 +281,8 @@ TRAJECTORY_HEADER = ("t", "dim0")
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    write_csv(
-        path,
-        TRAJECTORY_HEADER,
-        ([f"{t:.17g}", f"{v:.17g}"] for t, v in zip(traj.grid.times(), traj.values[:, 0])),
-    )
+    rows = zip(traj.grid.times().tolist(), traj.values[:, 0].tolist())
+    write_csv(path, TRAJECTORY_HEADER, [f"{t:.17g},{v:.17g}" for t, v in rows])
 
 
 def read_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

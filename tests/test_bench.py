@@ -1,5 +1,7 @@
 import copy
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -16,6 +18,7 @@ import pytest
 from nfgopt.baselines import ChompConfig, MppiConfig, StompConfig
 from nfgopt.bench import (
     REG_SCALE,
+    TRACE_FIELDS,
     BenchConfig,
     MethodSpec,
     RunRecord,
@@ -36,7 +39,7 @@ from nfgopt.environment import BoxObstacle, ScoreConfig, load_preset, penetratio
 from nfgopt.errors import ConfigError, DegeneratePathError, NonFiniteStepError
 from nfgopt.nfg import IterationTrace, NfgConfig
 from nfgopt.sampling import SEKernel, factorize, kernel_matrix
-from nfgopt.trajectory import TimeGrid, read_trajectory_csv
+from nfgopt.trajectory import TimeGrid, read_csv, read_trajectory_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -250,6 +253,16 @@ class TestStrictTypes:
                 lambda raw: raw["grid"].update(horizon_seconds=1e300, rate_hz=1e300),
                 "config.grid: horizon_seconds * rate_hz must be finite, got inf",
             ),
+            # 2 * length_scale**2 underflows to 0, or leaves the float range
+            (lambda raw: raw["kernel"].update(length_scale=1e-300), "config.kernel: length_scale must give"),
+            (lambda raw: raw["kernel"].update(length_scale=1e200), "config.kernel: length_scale must give"),
+            # longer than any numpy array axis
+            (
+                lambda raw: raw["methods"][0].update(batch=10**30),
+                f"methods[nfg]: batch must be in [1, {np.iinfo(np.intp).max}]",
+            ),
+            (lambda raw: raw["methods"].append({"name": "stomp", "batch": 10**30}), "methods[stomp]: batch must be in"),
+            (lambda raw: raw["methods"].append({"name": "mppi", "rollouts": 10**30}), "methods[mppi]: rollouts must be"),
         ],
     )
     def test_removed_or_invalid_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, edit, message):
@@ -623,6 +636,46 @@ class TestRecordsCsv:
             write(str(path), [good, bad])
         assert path.read_text() == before
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_artifact_bytes(self, tmp_path):
+        # CRLF line ends, 17 significant digits, inf/nan/-0 as Python spells
+        # them, and an empty avg_jerk cell for a failed run
+        records = [
+            RunRecord("nfg", 0, True, 0.1 + 0.2, 1e-300, 4567.89123, 100),
+            RunRecord("chomp", 3, False, 2.5, -0.0, None, 7),
+        ]
+        traces = [
+            IterationTrace(0, -np.inf, np.nan, np.inf, False, 0.1 + 0.2),
+            IterationTrace(1, -0.0, 1e-300, 2.0, True, 12345.678901234567),
+        ]
+        path = tmp_path / "out.csv"
+        write_records_csv(str(path), records)
+        assert path.read_bytes() == (
+            b"method,seed,success,runtime_s,path_length,avg_jerk,iterations_used\r\n"
+            b"nfg,0,true,0.30000000000000004,1e-300,4567.8912300000002,100\r\n"
+            b"chomp,3,false,2.5,-0,,7\r\n"
+        )
+        write_summary_csv(str(path), aggregate(records))
+        assert path.read_bytes() == (
+            b"method,success_rate,time_mean,time_std,path_length_mean,path_length_std,avg_jerk_mean,avg_jerk_std\r\n"
+            b"chomp,0,2.5,0,-,-,-,-\r\n"
+            b"nfg,100,0.30000000000000004,0,1e-300,0,4567.8912300000002,0\r\n"
+        )
+        write_trace_csv(str(path), traces, "nfg")
+        assert path.read_bytes() == (
+            b"method,iter,best_score,mean_weight,grad_norm,feasible,wall_time_s\r\n"
+            b"nfg,0,-inf,nan,inf,false,0.30000000000000004\r\n"
+            b"nfg,1,-0,1e-300,2,true,12345.678901234567\r\n"
+        )
+
+    @pytest.mark.parametrize("method", ["a,b", 'say "hi"', "two\nlines", "cr\r", ""])
+    def test_text_cells_quoted_as_csv_module_does(self, tmp_path, method):
+        path = tmp_path / "out.csv"
+        write_trace_csv(str(path), [TRACE_ROW], method)
+        expected = io.StringIO()
+        csv.writer(expected).writerows([TRACE_FIELDS, [method, 0, "0.5", "1", "2", "false", "0.01"]])
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert read_csv(str(path))[1][0] == method
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -1,7 +1,8 @@
 """The README against the code: its CLI block against the argument
 parser, its Configuration section against the config parser and the
 packaged config, its Library example against the package, and the
-package root's exports against the README and the benchmark."""
+package root's exports against the README and the benchmark, and its
+Outputs section against the artifact headers."""
 
 import argparse
 import dataclasses
@@ -9,8 +10,9 @@ import json
 import re
 from pathlib import Path
 
-from nfgopt.bench import METHODS, BenchConfig, load_config, parse_config
+from nfgopt.bench import METHODS, RECORD_FIELDS, TRACE_FIELDS, BenchConfig, load_config, parse_config
 from nfgopt.cli import build_parser
+from nfgopt.trajectory import TRAJECTORY_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,3 +74,9 @@ def test_every_root_export_has_a_caller():
         if not re.search(rf"\b{name}\b", code) and f"nfgopt.{name}" not in perfbench
     ]
     assert unused == []
+
+
+def test_readme_outputs_name_every_artifact_header():
+    section = re.search(r"## Outputs\n(.*?)\n## ", README.read_text(), flags=re.DOTALL).group(1)
+    headers = [cell for cell in re.findall(r"`([^`\n]+)`", section) if "," in cell]
+    assert headers == [",".join(RECORD_FIELDS), ",".join(TRACE_FIELDS), ",".join(TRAJECTORY_HEADER)]

@@ -496,3 +496,63 @@ class TestPerSlotPasses:
         expected = np.exp(-lambda_jerk * (np.abs(d3).mean(axis=1) / dt**3))
         assert (expected > 0.0).all() and (expected < 1.0).all()
         assert _kernels._jerk_bonus(values, lambda_jerk, dt).tobytes() == expected.tobytes()
+
+
+def strided_mean_abs_jerk(values, dt):
+    """Reference jerk: the stencil over the (B, m - 3) row slices, |.|,
+    then the row sums divided by the window count and by dt^3."""
+    d3 = _kernels.third_difference(values)
+    jerk = np.add.reduce(np.abs(d3, out=d3), axis=-1) / d3.shape[-1]
+    jerk /= dt**3
+    return jerk
+
+
+class TestBatchJerk:
+    """mean_abs_jerk over a (B, m) batch equals the strided row-by-row
+    reference byte for byte, and raises exactly when the reference does."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 100])
+    @pytest.mark.parametrize("m", [4, 5, 17, 100, 333])
+    def test_equals_strided_reference(self, batch, m):
+        values = np.random.default_rng(batch * 1000 + m).normal(scale=0.3, size=(batch, m))
+        expected = strided_mean_abs_jerk(values, 0.01)
+        assert _kernels.mean_abs_jerk(values, 0.01).tobytes() == expected.tobytes()
+
+    def test_non_contiguous_batch(self):
+        wide = np.random.default_rng(5).normal(size=(7, 120))
+        values = wide[:, 10:110]
+        assert not values.flags.c_contiguous
+        expected = strided_mean_abs_jerk(values, 0.01)
+        assert _kernels.mean_abs_jerk(values, 0.01).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("odd", [np.inf, -np.inf, np.nan, 1e308])
+    def test_rows_with_special_values(self, odd):
+        values = np.random.default_rng(6).normal(size=(6, 17))
+        values[1, 8] = odd
+        values[4, 0] = odd
+        values[5, -1] = -odd
+        with np.errstate(all="ignore"):
+            expected = strided_mean_abs_jerk(values, 0.01)
+            got = _kernels.mean_abs_jerk(values, 0.01)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_window_across_rows_does_not_raise(self):
+        # every window within a row is finite; the flattened buffer's window
+        # from the end of row 0 into row 1 overflows, and is not scored
+        values = np.array([[0.0, 0.0, 0.0, 0.0, 1e308], [-1e308, 0.0, 0.0, 0.0, 0.0]])
+        with np.errstate(all="raise"):
+            jerk = _kernels.mean_abs_jerk(values, 1.0)
+        assert jerk.tolist() == [5e307, 5e307]
+        # exp(-lambda_jerk * 5e307) underflows to 0, as it should
+        with np.errstate(all="raise", under="ignore"):
+            scores = _kernels.batch_scores(values, _kernels.box_table(np.arange(5.0), np.empty((0, 4))), 1e-4, 1.0)
+        assert scores.tolist() == [0.0, 0.0]
+
+    def test_overflowing_row_still_raises(self):
+        values = np.zeros((3, 8))
+        values[1, 3:5] = [1e308, -1e308]
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            _kernels.mean_abs_jerk(values, 1.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            jerk = _kernels.mean_abs_jerk(values, 1.0)
+        assert jerk[0] == jerk[2] == 0.0 and np.isinf(jerk[1])

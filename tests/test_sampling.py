@@ -20,10 +20,19 @@ def bench_factor(reg_scale=1e-6):
 
 
 class TestSEKernel:
-    @pytest.mark.parametrize("variance,length_scale", [(0.0, 0.22), (-1.0, 0.22), (0.29, 0.0), (0.29, -0.1)])
+    # the last five leave kernel_matrix's 2 * length_scale**2 at 0 or past the float range
+    @pytest.mark.parametrize(
+        "variance,length_scale",
+        [(0.0, 0.22), (-1.0, 0.22), (0.29, 0.0), (0.29, -0.1)]
+        + [(0.29, length_scale) for length_scale in (1e-300, 1e-162, 1e154, 1e200, 10**200)],
+    )
     def test_invalid_params(self, variance, length_scale):
         with pytest.raises(ConfigError):
             SEKernel(variance, length_scale)
+
+    @pytest.mark.parametrize("length_scale", [1e-150, 1e150])
+    def test_extreme_length_scale_gives_a_finite_kernel(self, length_scale):
+        assert np.isfinite(kernel_matrix(TimeGrid(1.0, 100.0), SEKernel(0.29, length_scale))).all()
 
     def test_diagonal_is_variance_exactly(self):
         K = kernel_matrix(TimeGrid(1.0, 100.0), BENCH_KERNEL)

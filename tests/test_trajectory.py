@@ -290,6 +290,13 @@ class TestCsvIo:
         header = out.read_text().splitlines()[0]
         assert header == "t,dim0"
 
+    def test_trajectory_bytes(self, tmp_path):
+        # CRLF line ends, 17 significant digits and -0 as Python spells it
+        traj = Trajectory(TimeGrid(2.0, 2.0), np.array([-0.0, 1e-300, 0.1 + 0.2, 1 / 3]))
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, str(out))
+        assert out.read_bytes() == b"t,dim0\r\n0,-0\r\n0.5,1e-300\r\n1,0.30000000000000004\r\n1.5,0.33333333333333331\r\n"
+
     def test_read_rejects_bad_header(self, tmp_path):
         out = tmp_path / "bad.csv"
         out.write_text("x,dim0\n0,1\n")
