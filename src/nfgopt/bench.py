@@ -19,7 +19,6 @@ Every file is written to a temporary file and renamed into place.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import os
@@ -28,7 +27,6 @@ import typing
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .baselines import (
     ChompConfig,
@@ -131,6 +129,15 @@ class BenchConfig:
             raise ConfigError(f"duplicate method names: {names}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seeds: {list(self.seeds)}")
+        limit = np.iinfo(np.intp).max  # bytes in numpy's largest array
+        for spec in self.methods:
+            field = METHODS[spec.name].rows
+            rows = 0 if field is None else getattr(spec.config, field)
+            if rows * self.grid.steps * 8 > limit:
+                raise ConfigError(
+                    f"methods[{spec.name}]: {field} = {rows} rows of {self.grid.steps} float64 values"
+                    f" exceed numpy's largest array of {limit} bytes"
+                )
 
     @property
     def reg(self) -> float:
@@ -230,13 +237,16 @@ def derive_seed(method: str, seed: int) -> int:
     Hash-derived so that every run owns an independent RNG lineage and
     adding or removing a method never shifts another method's streams.
     """
+    import hashlib  # here, so that importing nfgopt skips it
+
     digest = hashlib.blake2s(f"{method}:{seed}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
 # Runners: (method config, start trajectory, bench config, covariance
 # factor, run seed) -> (final trajectory, trace). Each builds the method's
-# random source from the run seed.
+# random source from the run seed; numpy.random is imported where it is
+# built, so that importing nfgopt skips it.
 
 
 def _run_nfg(cfg, mu0, bench, factor, run_seed):
@@ -250,6 +260,8 @@ def _run_stomp(cfg, mu0, bench, factor, run_seed):
 
 
 def _run_chomp(cfg, mu0, bench, factor, run_seed):
+    from numpy.random import Generator, Philox
+
     rng = Generator(Philox(key=np.array([run_seed, 0], dtype=np.uint64)))
     return chomp_optimize(mu0, bench.environment, bench.score, cfg, rng)
 
@@ -262,17 +274,19 @@ def _run_mppi(cfg, mu0, bench, factor, run_seed):
 @dataclass(frozen=True)
 class Method:
     """A benchmark method: the config dataclass whose fields are its JSON
-    keys, types and defaults, and its runner."""
+    keys, types and defaults, its runner, and the config field holding the
+    row count of the (rows, grid steps) batch it samples, if it samples one."""
 
     config: type
     run: typing.Callable
+    rows: str | None
 
 
 METHODS = {
-    "nfg": Method(NfgConfig, _run_nfg),
-    "stomp": Method(StompConfig, _run_stomp),
-    "chomp": Method(ChompConfig, _run_chomp),
-    "mppi": Method(MppiConfig, _run_mppi),
+    "nfg": Method(NfgConfig, _run_nfg, "batch"),
+    "stomp": Method(StompConfig, _run_stomp, "batch"),
+    "chomp": Method(ChompConfig, _run_chomp, None),
+    "mppi": Method(MppiConfig, _run_mppi, "rollouts"),
 }
 
 
@@ -349,6 +363,10 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = N
     run's randomness is fixed by (method, seed) alone. Every run samples
     from one :func:`principal_factor` of the kernel, built here.
     """
+    # Every run's random source needs numpy.random: load it here, so that no
+    # run's runtime includes the import and pool workers inherit it.
+    import numpy.random  # noqa: F401
+
     check_integer(parallel, "parallel", 1)
     if out_dir is None:
         out_dir = bench.output_dir

@@ -27,7 +27,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import ConfigError, check_integer, check_number
 
@@ -64,7 +63,11 @@ def kernel_matrix(grid, kernel: SEKernel) -> np.ndarray:
     """
     t = grid.times()
     diff = t[:, None] - t[None, :]
-    return kernel.variance * np.exp(-(diff * diff) / (2.0 * kernel.length_scale**2))
+    # A quotient that overflows to -inf has an exp that underflows to exactly
+    # 0 anyway, so silencing the overflow leaves every entry as it was.
+    with np.errstate(over="ignore"):
+        exponent = -(diff * diff) / (2.0 * kernel.length_scale**2)
+    return kernel.variance * np.exp(exponent)
 
 
 def factorize(K: np.ndarray, reg: float) -> np.ndarray:
@@ -140,6 +143,9 @@ class PerturbationSampler:
 
     def __post_init__(self) -> None:
         check_integer(self.seed, "seed", 0, _UINT64_MAX)
+        # Imported here, so that importing nfgopt skips numpy.random.
+        from numpy.random import Generator, Philox
+
         object.__setattr__(self, "_engine", Generator(Philox(0)))
         object.__setattr__(self, "_lock", threading.Lock())
         # The state a new engine keyed on (seed, stream) starts from; normals

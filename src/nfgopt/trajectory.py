@@ -17,7 +17,6 @@ call concurrently.
 
 from __future__ import annotations
 
-import csv
 import os
 import sys
 from dataclasses import dataclass, field
@@ -270,6 +269,8 @@ def csv_cell(text: str) -> str:
 
 def read_csv(path: str) -> list[list[str]]:
     """Every row of the CSV file at ``path``; an unreadable file is a :class:`ConfigError`."""
+    import csv  # here, so that importing nfgopt skips it: only the readers need it
+
     try:
         with open(path, newline="") as fh:
             return list(csv.reader(fh))

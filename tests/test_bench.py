@@ -59,6 +59,18 @@ def mini_config():
     return parse_config(copy.deepcopy(MINI_RAW))
 
 
+# What importing nfgopt and scoring leave unloaded: the sampler's RNG (with
+# the hashing it pulls in), derive_seed's hashing and the CSV readers' module.
+LAZY_MODULES = ("numpy.random", "secrets", "hashlib", "csv")
+
+
+def run_probe(code: str, *args: str) -> str:
+    """Stripped stdout of ``code`` run with ``args`` in a fresh interpreter importing nfgopt from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
 # One config that reaches every config dataclass: the top level, grid,
 # kernel, score, one box and each of the four methods.
 FULL_RAW = {
@@ -263,6 +275,15 @@ class TestStrictTypes:
             ),
             (lambda raw: raw["methods"].append({"name": "stomp", "batch": 10**30}), "methods[stomp]: batch must be in"),
             (lambda raw: raw["methods"].append({"name": "mppi", "rollouts": 10**30}), "methods[mppi]: rollouts must be"),
+            # a (rows, grid steps) float64 batch numpy cannot represent
+            (
+                lambda raw: raw["methods"].append({"name": "stomp", "batch": 2**62}),
+                f"methods[stomp]: batch = {2**62} rows of 30 float64 values exceed numpy's largest array",
+            ),
+            (
+                lambda raw: raw["methods"].append({"name": "mppi", "rollouts": 2**62}),
+                f"methods[mppi]: rollouts = {2**62} rows of 30 float64 values exceed numpy's largest array",
+            ),
         ],
     )
     def test_removed_or_invalid_setting_exits_2_and_writes_nothing(self, tmp_path, capsys, edit, message):
@@ -493,11 +514,44 @@ class TestRunBenchmark:
         again = run_benchmark(cfg, out_dir=str(tmp_path / "b"))
         assert [strip_runtime(r) for r in serial] == [strip_runtime(r) for r in again]
 
-    def test_import_skips_multiprocessing(self):
-        probe = "import sys, nfgopt.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+    @pytest.mark.parametrize(
+        "steps,unloaded",
+        [
+            ("", ("multiprocessing", *LAZY_MODULES)),
+            # perfbench's setup probe: load a config, factorize, score once
+            (
+                "import numpy as np, nfgopt\n"
+                "cfg = nfgopt.load_config(sys.argv[1])\n"
+                "nfgopt.factorize(nfgopt.kernel_matrix(cfg.grid, cfg.kernel), cfg.reg)\n"
+                "nfgopt.batch_scores(cfg.environment, np.zeros((1, cfg.grid.steps)), cfg.grid.times(), cfg.grid.dt, cfg.score)",
+                LAZY_MODULES,
+            ),
+        ],
+        ids=["import", "setup"],
+    )
+    def test_import_loads_only_what_scoring_runs(self, steps, unloaded):
+        probe = (
+            f"import sys, nfgopt.cli\n{steps}\n"
+            f"print(sorted(m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in {unloaded!r})))"
+        )
+        assert run_probe(probe, str(ROOT / "configs" / "narrow_passage.json")) == "[]"
+
+    def test_numpy_random_loaded_before_the_first_run(self, tmp_path):
+        # The import stays out of every run's runtime_s.
+        probe = (
+            "import json, sys\n"
+            "import nfgopt.bench as bench\n"
+            "loaded, real = [], bench.PerturbationSampler\n"
+            "def spy(*args):\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "    return real(*args)\n"
+            "bench.PerturbationSampler = spy\n"
+            "print('numpy.random' in sys.modules)\n"
+            "bench.run_benchmark(bench.parse_config(json.loads(sys.argv[1])), out_dir=sys.argv[2])\n"
+            "print(loaded)"
+        )
+        raw = {"grid": {"horizon_seconds": 0.3}, "seeds": [0, 1], "methods": [{"name": "nfg", "batch": 4, "iterations": 2}]}
+        assert run_probe(probe, json.dumps(raw), str(tmp_path / "out")) == "False\n[True, True]"
 
     def test_final_trajectory_reproduces_recorded_success(self, tmp_path):
         cfg = mini_config()
@@ -774,6 +828,25 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         assert main(["run", "--config", cfg, "--parallel", "-3"]) == 2
         assert "parallel must be at least 1, got -3" in capsys.readouterr().err
+
+    def test_run_with_overflowing_kernel_quotient(self, tmp_path, capsys):
+        # Every off-diagonal quotient of kernel_matrix overflows: the kernel is variance * I.
+        raw = {"kernel": {"length_scale": 1e-160}, "seeds": [0], "methods": [{"name": "nfg", "iterations": 2}]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_evaluate_and_summarize_leave_the_rng_unloaded(self, tmp_path):
+        waypoints = tmp_path / "line.csv"
+        waypoints.write_text("-3.0\n3.0\n")
+        records = tmp_path / "records.csv"
+        write_records_csv(str(records), [RunRecord("nfg", 0, True, 0.5, 1.0, 2.0, 10)])
+        probe = "import sys\nfrom nfgopt.cli import main\nprint(main(sys.argv[1:]), 'numpy.random' in sys.modules)"
+        evaluate = ["evaluate", "--path", str(waypoints), "--env", "narrow-passage-v1", "--horizon", "1", "--rate", "100"]
+        summarize = ["summarize", "--records", str(records), "--out", str(tmp_path / "summary.csv")]
+        for argv in (evaluate, summarize):
+            assert run_probe(probe, *argv).splitlines()[-1] == "0 False"
 
     def test_run_crash_maps_to_3(self, tmp_path, monkeypatch, capsys):
         cfg = self.write_config(tmp_path)

@@ -34,6 +34,11 @@ class TestSEKernel:
     def test_extreme_length_scale_gives_a_finite_kernel(self, length_scale):
         assert np.isfinite(kernel_matrix(TimeGrid(1.0, 100.0), SEKernel(0.29, length_scale))).all()
 
+    def test_overflowing_quotient_gives_variance_times_identity(self):
+        # every off-diagonal -(diff*diff) / (2 * length_scale**2) overflows to -inf
+        K = kernel_matrix(TimeGrid(), SEKernel(0.29, 1e-160))
+        assert K.tobytes() == (0.29 * np.eye(100)).tobytes()
+
     def test_diagonal_is_variance_exactly(self):
         K = kernel_matrix(TimeGrid(1.0, 100.0), BENCH_KERNEL)
         np.testing.assert_array_equal(np.diag(K), np.full(100, 0.29))
