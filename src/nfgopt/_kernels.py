@@ -4,14 +4,13 @@ box penetration and batched trajectory scoring.
 The kernels vectorize over the batch axis with numpy. They read the boxes
 from a :class:`BoxTable`, which :func:`box_table` builds once per time grid
 from a float64 array of shape ``(n_boxes, 4)`` with columns ``t_lo, t_hi,
-y_lo, y_hi``. Per grid column the table holds the y-intervals of the boxes
-whose closed t-range covers that column, in J slots (J is the most boxes
-covering one column), so a penetration call costs a few array operations
-per slot, each over (B, w) values for the w covered columns, whatever the
-number of boxes. Containment is
-closed on all faces and the penetration depth at a face is 0, which keeps
-the score continuous. Batch scoring computes the jerk stencil only for the
-rows it scores by jerk, the collision-free ones.
+y_lo, y_hi``. The table splits the covered grid columns into segments, the
+maximal runs of columns that the same boxes cover, and penetration runs one
+pass per box of a segment over a contiguous copy of its columns, with the
+box's y-interval as two scalars. Containment is closed on all faces and the
+penetration depth at a face is 0, which keeps the score continuous. Batch
+scoring computes the jerk stencil only for the rows it scores by jerk, the
+collision-free ones.
 """
 
 from __future__ import annotations
@@ -26,15 +25,24 @@ BACKEND = "numpy"
 class BoxTable(NamedTuple):
     """Boxes over one time grid.
 
-    Slot j of grid column ``c0 + k`` holds the interval ``[lo[j, k], hi[j, k]]``
-    of one box whose t-range covers that column; slots no box uses hold an
-    empty interval. Columns outside ``[c0, c1)`` lie in no box.
+    Columns outside ``[c0, c1)`` lie in no box. ``segments`` lists, in
+    column order, the maximal runs of columns that one set of boxes
+    covers, as ``(columns, slots)``: ``columns`` is the run's ``slice`` of
+    the grid and ``slots`` the ``(y_lo, y_hi)`` of its boxes, as floats in
+    the order the boxes were given. The columns of ``[c0, c1)`` in no
+    segment lie in no box either.
+
+    ``lo`` and ``hi`` hold the same intervals densely, for rules that read
+    one column or one path at a time: slot j of column ``c0 + k`` holds
+    ``[lo[j, k], hi[j, k]]``, the j-th box covering that column, and slots
+    no box uses hold an empty interval.
     """
 
     c0: int
     c1: int
     lo: np.ndarray
     hi: np.ndarray
+    segments: tuple[tuple[slice, tuple[tuple[float, float], ...]], ...]
 
 
 def box_table(times: np.ndarray, boxes: np.ndarray) -> BoxTable:
@@ -42,7 +50,7 @@ def box_table(times: np.ndarray, boxes: np.ndarray) -> BoxTable:
     covers = (times >= boxes[:, 0:1]) & (times <= boxes[:, 1:2])
     columns = np.flatnonzero(covers.any(axis=0))
     if columns.size == 0:
-        return BoxTable(0, 0, np.empty((0, 0)), np.empty((0, 0)))
+        return BoxTable(0, 0, np.empty((0, 0)), np.empty((0, 0)), ())
     c0, c1 = int(columns[0]), int(columns[-1]) + 1
     covers = covers[:, c0:c1]
     slot = np.cumsum(covers, axis=0) - 1
@@ -51,10 +59,28 @@ def box_table(times: np.ndarray, boxes: np.ndarray) -> BoxTable:
     # for every finite v, and finite ends never give inf - inf.
     lo = np.full((int(slot.max()) + 1, c1 - c0), 1.0)
     hi = np.full_like(lo, -1.0)
-    lo[slot[box, col], col] = boxes[box, 2]
-    hi[slot[box, col], col] = boxes[box, 3]
+    # A zero face is stored as -0.0 below and +0.0 above. Then neither
+    # v - lo nor hi - v is ever -0.0, nor is any depth, and the penetration
+    # pass's fmax never meets -0.0 and +0.0, for which numpy returns either
+    # zero depending on the element's position in the array.
+    lo[slot[box, col], col] = np.where(boxes[box, 2] == 0.0, -0.0, boxes[box, 2])
+    hi[slot[box, col], col] = boxes[box, 3] + 0.0
     lo.flags.writeable = hi.flags.writeable = False
-    return BoxTable(c0, c1, lo, hi)
+    # A run starts at c0 and wherever the covering boxes change; the runs
+    # some box covers are the segments, and their slots are the used
+    # dense slots of their first column.
+    starts = np.flatnonzero(np.concatenate(([True], (covers[:, 1:] != covers[:, :-1]).any(axis=0))))
+    runs = zip(
+        starts.tolist(),
+        [*starts[1:].tolist(), c1 - c0],
+        covers[:, starts].sum(axis=0).tolist(),
+        lo[:, starts].T.tolist(),
+        hi[:, starts].T.tolist(),
+    )
+    segments = tuple(
+        (slice(c0 + start, c0 + stop), tuple(zip(los[:n], his[:n]))) for start, stop, n, los, his in runs if n
+    )
+    return BoxTable(c0, c1, lo, hi, segments)
 
 
 def penetration_profile_batch(values: np.ndarray, table: BoxTable) -> np.ndarray:
@@ -62,26 +88,26 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable) -> np.ndarray
 
     ``values`` has shape (B, m) on the grid ``table`` was built for; returns
     (B, m) with entries <= 0. A point inside several boxes takes the most
-    negative per-box depth; NaN and infinite values lie in no box.
+    negative per-box depth; NaN and infinite values lie in no box. A point
+    in no box's interior scores -0.0 in the columns ``[c0, c1)`` and 0.0 in
+    the others.
     """
-    c0, c1, lo, hi = table
-    if c1 == c0:
-        return np.zeros(values.shape)
-    # One slot at a time on a contiguous copy of the covered columns, with
-    # (B, w) temporaries: the deepest containment per point, negative in no
-    # box and NaN for a NaN value. The maximum over slots is exact, so the
-    # order of the slots does not change it.
-    v = values[:, c0:c1].copy()
-    depth = np.minimum(v - lo[0], hi[0] - v)
-    for j in range(1, lo.shape[0]):
-        np.maximum(depth, np.minimum(v - lo[j], hi[j] - v), out=depth)
-    # Allocated after the slot temporaries are freed, so it reuses their
-    # heap space: without bench's 1 MiB warm-up block (bench._warm_kernels),
-    # a packaged sweep takes about 150 minor page faults in this order and
-    # 180 with the result allocated first (2-core VM).
     s = np.zeros(values.shape)
-    # fmax maps negative depths and NaN to 0.
-    np.negative(np.fmax(depth, 0.0, out=depth), out=s[:, c0:c1])
+    if table.c1 == table.c0:
+        return s
+    # The segments overwrite all but the columns in no box.
+    s[:, table.c0 : table.c1] = -0.0
+    for columns, slots in table.segments:
+        # One box at a time over the segment's columns, contiguous (a copy
+        # unless B is 1): the deepest containment per point, negative in
+        # no box and NaN for a NaN value.
+        v = np.ascontiguousarray(values[:, columns])
+        depth = None
+        for lo, hi in slots:
+            d = np.minimum(v - lo, hi - v)
+            depth = d if depth is None else np.maximum(depth, d, out=depth)
+        # fmax maps negative depths and NaN to 0.
+        np.negative(np.fmax(depth, 0.0, out=depth), out=s[:, columns])
     return s
 
 

@@ -36,7 +36,8 @@ def _collision_free(env: BoxEnvironment, times: np.ndarray):
     """Feasibility rule of the baselines: no grid point lies strictly inside
     a box. Equal to a zero penetration profile: a point on a face is clear,
     and empty table slots and NaN or infinite values lie in no box."""
-    c0, c1, lo, hi = env.box_table(times)
+    table = env.box_table(times)
+    c0, c1, lo, hi = table.c0, table.c1, table.lo, table.hi
 
     def feasible(values: np.ndarray) -> bool:
         v = values[c0:c1]

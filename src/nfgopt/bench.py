@@ -359,9 +359,10 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = N
     ``parallel`` > 1 spreads runs over worker processes (at most one per
     run); anything but an integer of at least 1, a bool included, is a
     :class:`ConfigError` raised before any run starts, and so is an empty
-    directory name. Record content is identical at any level because each
-    run's randomness is fixed by (method, seed) alone. Every run samples
-    from one :func:`principal_factor` of the kernel, built here.
+    directory name or one that cannot be created. Record content is
+    identical at any level because each run's randomness is fixed by
+    (method, seed) alone. Every run samples from one
+    :func:`principal_factor` of the kernel, built here.
     """
     # Every run's random source needs numpy.random: load it here, so that no
     # run's runtime includes the import and pool workers inherit it.
@@ -372,6 +373,10 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = N
         out_dir = bench.output_dir
     if not out_dir:
         raise ConfigError("the output directory must not be empty")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {out_dir}: {exc.strerror}") from exc
     K = kernel_matrix(bench.grid, bench.kernel)
     factor = principal_factor(factorize(K, bench.reg), bench.reg)
     specs, seeds = zip(*itertools.product(bench.methods, bench.seeds))
@@ -385,7 +390,6 @@ def run_benchmark(bench: BenchConfig, parallel: int = 1, out_dir: str | None = N
             records = list(pool.map(run_single, *args))
     else:
         records = list(map(run_single, *args))
-    os.makedirs(out_dir, exist_ok=True)
     write_records_csv(os.path.join(out_dir, "records.csv"), records)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), aggregate(records))
     return records
@@ -482,11 +486,13 @@ def read_records_csv(path: str) -> list[RunRecord]:
 
 
 def write_summary_csv(path: str, rows: list[dict]) -> None:
-    write_csv(
-        path,
-        SUMMARY_FIELDS,
-        [",".join([csv_cell(row["method"]), *(_fmt(row[field]) for field in SUMMARY_FIELDS[1:])]) for row in rows],
-    )
+    """Write the summary ``rows`` to ``path``; a path that cannot be
+    written is a :class:`ConfigError` that names it."""
+    lines = [",".join([csv_cell(row["method"]), *(_fmt(row[field]) for field in SUMMARY_FIELDS[1:])]) for row in rows]
+    try:
+        write_csv(path, SUMMARY_FIELDS, lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the summary {path}: {exc.strerror}") from exc
 
 
 def format_summary(rows: list[dict]) -> str:

@@ -837,6 +837,27 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_run_into_a_file_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys):
+        import nfgopt.bench as bench_mod
+
+        cfg = self.write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        runs = []
+        monkeypatch.setattr(bench_mod, "run_single", lambda *args: runs.append(args))
+        assert main(["run", "--config", cfg, "--out", str(taken)]) == 2
+        assert f"cannot create the output directory {taken}" in capsys.readouterr().err
+        assert runs == [] and taken.read_text() == ""
+
+    def test_summarize_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        write_records_csv(str(records), [RunRecord("nfg", 0, True, 0.5, 1.0, 2.0, 10)])
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["summarize", "--records", str(records), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write the summary {out}: " in err and ".tmp" not in err
+        assert not (tmp_path / "missing").exists()
+
     def test_evaluate_and_summarize_leave_the_rng_unloaded(self, tmp_path):
         waypoints = tmp_path / "line.csv"
         waypoints.write_text("-3.0\n3.0\n")

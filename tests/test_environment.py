@@ -445,8 +445,9 @@ class TestScoringComputesOnlyWhatIsRead:
 
 def slot_tensor_profile(values, table):
     """Reference penetration: all slots at once as (B, J, w) broadcast
-    temporaries, reduced by a maximum over the slot axis."""
-    c0, c1, lo, hi = table
+    temporaries over the dense slots, reduced by a maximum over the slot
+    axis."""
+    c0, c1, lo, hi = table.c0, table.c1, table.lo, table.hi
     s = np.zeros_like(values)
     if c1 == c0:
         return s
@@ -457,7 +458,7 @@ def slot_tensor_profile(values, table):
 
 
 class TestPerSlotPasses:
-    """The per-slot penetration passes and the jerk bonus equal their
+    """The per-segment penetration passes and the jerk bonus equal their
     written-out numpy expressions, byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(TestBoxTable.ENVIRONMENTS))
@@ -496,6 +497,108 @@ class TestPerSlotPasses:
         expected = np.exp(-lambda_jerk * (np.abs(d3).mean(axis=1) / dt**3))
         assert (expected > 0.0).all() and (expected < 1.0).all()
         assert _kernels._jerk_bonus(values, lambda_jerk, dt).tobytes() == expected.tobytes()
+
+
+def random_boxes(rng):
+    """A random (n, 4) box array on GRID: boxes on half-column t-steps and
+    quarter-unit y-faces, 0 among them, plus a duplicate, a box nested in
+    another, one sharing its t-edge, one ending on the last column, one
+    between two columns and one past the horizon, each in about half the
+    sets."""
+    last = GRID.times()[-1]
+    boxes = []
+    for _ in range(rng.integers(1, 5)):
+        t_lo, y_lo = rng.integers(0, 200) / 200, rng.integers(-8, 8) / 4
+        boxes.append([t_lo, t_lo + rng.integers(1, 80) / 200, y_lo, y_lo + rng.integers(1, 12) / 4])
+    t_lo, t_hi, y_lo, y_hi = boxes[rng.integers(len(boxes))]
+    quarter_t, quarter_y = (t_hi - t_lo) / 4, (y_hi - y_lo) / 4
+    column = rng.integers(0, 99) / 100
+    extras = [
+        [t_lo, t_hi, y_lo, y_hi],
+        [t_lo + quarter_t, t_hi - quarter_t, y_lo + quarter_y, y_hi - quarter_y],
+        [t_hi, t_hi + rng.integers(1, 40) / 100, -1.0, -0.0],
+        [rng.integers(50, 99) / 100, last, 0.0, 1.5],
+        [column + 0.002, column + 0.008, -9.0, 9.0],
+        [last + 0.005, 2.0, -9.0, 9.0],
+    ]
+    boxes += [box for box in extras if rng.random() < 0.5]
+    return np.array(boxes).reshape(-1, 4)
+
+
+def random_values(rng, batch, boxes):
+    """(batch, 100) values near the boxes with 40% of the points on a face,
+    at +-0, NaN or +-inf, and about a quarter of the rows far above every
+    box."""
+    values = rng.normal(scale=2.0, size=(batch, 100))
+    odd = np.concatenate([boxes[:, 2:].ravel(), [-0.0, 0.0, np.nan, np.inf, -np.inf]])
+    on_odd = rng.random(values.shape) < 0.4
+    values[on_odd] = rng.choice(odd, size=on_odd.sum())
+    free = rng.random(batch) < 0.25
+    values[free] = 20.0 + rng.normal(scale=1e-4, size=(free.sum(), 100))
+    return values
+
+
+def expected_segments(times, boxes):
+    """The maximal runs of columns covered by one set of boxes, with the
+    y-intervals of those boxes in box order, by a loop over the columns."""
+    runs = []
+    for column, t in enumerate(times):
+        covering = tuple(i for i, (t_lo, t_hi, _, _) in enumerate(boxes) if t_lo <= t <= t_hi)
+        if covering and runs and runs[-1][1] == column and runs[-1][2] == covering:
+            runs[-1][1] = column + 1
+        elif covering:
+            runs.append([column, column + 1, covering])
+    return [(start, stop, tuple((boxes[i, 2], boxes[i, 3]) for i in covering)) for start, stop, covering in runs]
+
+
+class TestSegmentKernel:
+    """The per-segment penetration pass on 200 random box sets equals the
+    dense slot tensor byte for byte, and the per-box masks and the
+    select-after-compute scores with it."""
+
+    SETS = 200
+
+    def test_segments_are_the_maximal_runs_of_the_dense_slots(self):
+        rng = np.random.default_rng(20)
+        times = GRID.times()
+        for _ in range(self.SETS):
+            boxes = random_boxes(rng)
+            table = _kernels.box_table(times, boxes)
+            segments = [(cols.start, cols.stop, slots) for cols, slots in table.segments]
+            assert segments == expected_segments(times, boxes)
+            for (start, stop, slots), after in zip(segments, segments[1:] + [(table.c1, None, None)]):
+                assert table.c0 <= start < stop <= after[0] <= table.c1
+                for column in range(start, stop):
+                    lo, hi = table.lo[:, column - table.c0], table.hi[:, column - table.c0]
+                    used = lo < hi
+                    assert slots == tuple(zip(lo[used].tolist(), hi[used].tolist()))
+                    assert used.tolist() == sorted(used.tolist(), reverse=True)
+
+    def test_profiles_and_scores_equal_the_references(self):
+        rng = np.random.default_rng(21)
+        times = GRID.times()
+        covered = 0
+        for _ in range(self.SETS):
+            boxes = random_boxes(rng)
+            table = _kernels.box_table(times, boxes)
+            covered += bool(table.segments)
+            for batch in (1, 7, 100):
+                values = random_values(rng, batch, boxes)
+                with np.errstate(all="raise"):
+                    profile = _kernels.penetration_profile_batch(values, table)
+                    expected = slot_tensor_profile(values, table)
+                assert profile.tobytes() == expected.tobytes()
+                np.testing.assert_array_equal(profile, per_box_profile(values, times, boxes))
+                # a zero is -0.0 inside [c0, c1), whatever the segment widths, and +0.0 outside
+                zero = profile == 0.0
+                inside = np.zeros(100, dtype=bool)
+                inside[table.c0 : table.c1] = True
+                assert (np.signbit(profile)[zero] == np.broadcast_to(inside, profile.shape)[zero]).all()
+                with np.errstate(all="ignore"):
+                    scores = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt)
+                    expected = all_rows_scores(values, table, SCORE.lambda_jerk, GRID.dt)
+                assert scores.tobytes() == expected.tobytes()
+        assert covered > self.SETS * 0.9
 
 
 def strided_mean_abs_jerk(values, dt):
