@@ -552,9 +552,11 @@ def expected_segments(times, boxes):
 
 
 class TestSegmentKernel:
-    """The per-segment penetration pass on 200 random box sets equals the
-    dense slot tensor byte for byte, and the per-box masks and the
-    select-after-compute scores with it."""
+    """Both penetration passes, per segment for a batch and over the dense
+    slots for one row, equal the dense slot tensor on 200 random box sets
+    byte for byte, and the per-box masks and the select-after-compute
+    scores with it; each row of a batch, scored alone by the one-row pass,
+    equals its row of the batch byte for byte."""
 
     SETS = 200
 
@@ -598,6 +600,17 @@ class TestSegmentKernel:
                     scores = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt)
                     expected = all_rows_scores(values, table, SCORE.lambda_jerk, GRID.dt)
                 assert scores.tobytes() == expected.tobytes()
+                if batch == 1:
+                    continue
+                # a row alone takes the one-path pass and scores the same
+                # as in its batch, which takes the segment passes
+                for row in range(batch):
+                    alone = values[row : row + 1]
+                    with np.errstate(all="raise"):
+                        assert _kernels.penetration_profile_batch(alone, table).tobytes() == profile[row].tobytes()
+                    with np.errstate(all="ignore"):
+                        alone_score = _kernels.batch_scores(alone, table, SCORE.lambda_jerk, GRID.dt)
+                    assert alone_score.tobytes() == scores[row].tobytes()
         assert covered > self.SETS * 0.9
 
 
