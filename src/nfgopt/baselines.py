@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import Workspace, plus_rows
 from .environment import BoxEnvironment, ScoreConfig, batch_scores
 from .errors import check_bool, check_integer, check_number
 from .nfg import IterationTrace, _iterate, _norm, _Step
@@ -100,15 +101,19 @@ def stomp_optimize(
     cfg: StompConfig,
     sampler: PerturbationSampler,
 ) -> tuple[Trajectory, list[IterationTrace]]:
-    """Reweighting updates y + sum_s w_s eps_s with the start pinned."""
+    """Reweighting updates y + sum_s w_s eps_s with the start pinned. The
+    run's :class:`~nfgopt._kernels.Workspace` holds every (batch, m) array
+    of its iterations."""
     values0 = y0.values[:, 0]
     times = y0.grid.times()
     dt = y0.grid.dt
+    work = Workspace(cfg.batch, values0.shape[0], sampler.factor.shape[1], env.box_table(times))
 
     def reweight(values: np.ndarray, k: int) -> _Step:
-        eps = sampler.sample(cfg.batch, k)
+        eps = sampler.sample(cfg.batch, k, out=work.perturbations, normals_out=work.normals)
         eps *= cfg.sigma
-        scores = batch_scores(env, values[None, :] + eps, times, dt, score_cfg)
+        candidates = plus_rows(values, eps, out=work.candidates)
+        scores = batch_scores(env, candidates, times, dt, score_cfg, work=work)
         return _reweighted(_stomp_raw(1.0 - scores, cfg.temperature), eps, float(np.maximum.reduce(scores)))
 
     values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), reweight)
@@ -287,14 +292,18 @@ def _rollout_costs(candidates: np.ndarray, pen: np.ndarray, cfg: MppiConfig) -> 
     return cfg.weight_obs * obstacle + cfg.weight_goal * np.add.reduce(candidates, axis=1)
 
 
-def wiener_noise(sampler: PerturbationSampler, count: int, steps: int, scale: float, stream: int) -> np.ndarray:
+def wiener_noise(
+    sampler: PerturbationSampler, count: int, steps: int, scale: float, stream: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Wiener-process perturbations from substream ``stream``, shape (count, steps).
 
     Row s is the cumulative sum of i.i.d. N(0, scale^2) increments with the
     first increment zeroed, so every path starts at 0 and var(eps_t) grows
-    linearly in t.
+    linearly in t. The increments are drawn, scaled and summed in ``out``,
+    a writeable C-contiguous float64 (count, steps) array (else
+    ConfigError), which is returned; without it in a new array.
     """
-    increments = sampler.normals(count, steps, stream)
+    increments = sampler.normals(count, steps, stream, out=out)
     increments *= scale
     increments[:, 0] = 0.0
     return np.add.accumulate(increments, axis=1, out=increments)
@@ -311,18 +320,20 @@ def mppi_optimize(
     Each iteration perturbs the full current trajectory with Wiener noise,
     scores every rollout's cost, and applies the softmin-weighted mean
     perturbation. The trace's ``best_score`` column holds the negated
-    minimum rollout cost.
+    minimum rollout cost. The run's :class:`~nfgopt._kernels.Workspace`
+    holds every (rollouts, m) array of its iterations.
     """
     values0 = y0.values[:, 0]
     times = y0.grid.times()
     table = env.box_table(times)
     scale = cfg.resolved_noise_scale(y0.grid.dt)
     m = values0.shape[0]
+    work = Workspace(cfg.rollouts, m, table=table)
 
     def rollout(values: np.ndarray, k: int) -> _Step:
-        eps = wiener_noise(sampler, cfg.rollouts, m, scale, k)
-        candidates = values[None, :] + eps
-        pen = _kernels.penetration_profile_batch(candidates, table)
+        eps = wiener_noise(sampler, cfg.rollouts, m, scale, k, out=work.perturbations)
+        candidates = plus_rows(values, eps, out=work.candidates)
+        pen = _kernels.penetration_profile_batch(candidates, table, work=work)
         costs = _rollout_costs(candidates, pen, cfg)
         return _reweighted(_softmin_raw(costs, cfg.temperature), eps, float(-np.minimum.reduce(costs)))
 

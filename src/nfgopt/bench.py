@@ -324,16 +324,25 @@ def run_single(
     The initial trajectory is all zeros for every method and seed. Runtime
     covers the method's runner: building its random source and the
     optimizer loop. A non-finite update is raised as
-    :class:`NonFiniteStepError` naming the method, seed and iteration.
+    :class:`NonFiniteStepError` naming the method, seed and iteration. A
+    run's workspace, built from its batch's row count, that does not fit
+    in memory is a :class:`ConfigError` naming the method's row field,
+    the rows and the bytes.
     """
     mu0 = Trajectory(bench.grid, np.zeros((bench.grid.steps, 1)))
     run_seed = derive_seed(spec.name, seed)
+    method = METHODS[spec.name]
     _warm_kernels(bench.environment, bench.grid, bench.score)
     t0 = time.perf_counter()
     try:
-        traj, traces = METHODS[spec.name].run(spec.config, mu0, bench, factor, run_seed)
+        traj, traces = method.run(spec.config, mu0, bench, factor, run_seed)
     except NonFiniteStepError as exc:
         raise NonFiniteStepError(exc.iteration, spec.name, seed) from None
+    except MemoryError as exc:
+        if method.rows is None:
+            raise
+        rows = getattr(spec.config, method.rows)
+        raise ConfigError(f"methods[{spec.name}].{method.rows} = {rows} rows: {exc}") from None
     runtime = time.perf_counter() - t0
     success = bool((penetration_profile(bench.environment, traj.values[:, 0], traj.grid.times()) == 0.0).all())
     record = RunRecord(

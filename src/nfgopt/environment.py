@@ -137,11 +137,19 @@ def batch_scores(
     times: np.ndarray,
     dt: float,
     cfg: ScoreConfig,
+    *,
+    work: _kernels.Workspace | None = None,
 ) -> np.ndarray:
     """Score a batch of 1-D trajectories, shape (B, steps) -> (B,).
 
     Colliding rows score the mean penetration (non-positive); collision-free
     rows score exp(-lambda_jerk * average absolute jerk), in (0, 1].
+
+    ``work`` is a run's :class:`~nfgopt._kernels.Workspace`, built for a
+    (B, steps) batch and for ``env.box_table(times)``; the scoring passes
+    then write into its buffers instead of allocating (B, steps) arrays.
+    Another shape or table is a ConfigError. The scores are the same
+    either way.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -150,4 +158,4 @@ def batch_scores(
         raise ValueError(f"scoring needs at least 4 grid points, got {values.shape[1]}")
     if np.shape(times) != values.shape[1:]:
         raise ValueError(f"need one time per grid point, got {np.shape(times)} for {values.shape[1]} points")
-    return _kernels.batch_scores(values, env.box_table(times), cfg.lambda_jerk, dt)
+    return _kernels.batch_scores(values, env.box_table(times), cfg.lambda_jerk, dt, work=work)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 _INTEGER = (int, np.integer)
+_FLOAT64 = np.dtype(np.float64)
 
 
 class ConfigError(ValueError):
@@ -35,6 +36,19 @@ def check_number(value, name: str, sign: str | None = None) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
     if (sign == "positive" and value <= 0) or (sign == "non-negative" and value < 0):
         raise ConfigError(f"{name} must be {sign}, got {value!r}")
+
+
+def check_buffer(value, name: str, shape: tuple) -> None:
+    """Reject anything but a float64 ndarray of ``shape`` that is C-contiguous, aligned and writeable: an
+    output buffer."""
+    if not (isinstance(value, np.ndarray) and value.shape == shape and value.dtype == _FLOAT64 and value.flags.carray):
+        got = (
+            f"a {value.dtype} array of shape {value.shape} (C-contiguous {value.flags.c_contiguous},"
+            f" writeable {value.flags.writeable})"
+            if isinstance(value, np.ndarray)
+            else repr(value)
+        )
+        raise ConfigError(f"{name} must be a writeable C-contiguous float64 array of shape {shape}, got {got}")
 
 
 def check_bool(value, name: str) -> None:

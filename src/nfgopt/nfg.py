@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._kernels import Workspace, plus_rows
 from .environment import EXP_CLAMP, BoxEnvironment, ScoreConfig, batch_scores, penetration_profile
 from .errors import ConfigError, DegenerateBatchError, NonFiniteStepError, check_bool, check_integer, check_number
 from .sampling import PerturbationSampler
@@ -122,6 +123,8 @@ def estimate_direction(
     sampler: PerturbationSampler,
     cfg: NfgConfig,
     stream: int,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Monte-Carlo natural-gradient direction for a generic batch objective.
 
@@ -137,6 +140,13 @@ def estimate_direction(
     stream : int
         Substream of the sampler to draw from; the optimizer passes its
         iteration.
+    work : Workspace, optional
+        Buffers for a (``cfg.batch``, m) batch and the sampler's rank: the
+        normals, perturbations and candidates are drawn and summed into its
+        ``normals``, ``perturbations`` and ``candidates``, so ``objective``
+        receives ``work.candidates``, overwritten by the next call. Without
+        it each call allocates them, and ``objective`` receives a new
+        array. The direction is the same either way.
 
     Returns
     -------
@@ -152,9 +162,12 @@ def estimate_direction(
         raise ConfigError(
             f"mu has shape {mu_values.shape} but the covariance factor is {sampler.factor.shape}"
         )
-    eps = sampler.sample(cfg.batch, stream)
+    normals, perturbations, candidates = (
+        (None, None, None) if work is None else (work.normals, work.perturbations, work.candidates)
+    )
+    eps = sampler.sample(cfg.batch, stream, out=perturbations, normals_out=normals)
     eps *= cfg.sigma
-    scores = np.asarray(objective(mu_values[None, :] + eps), dtype=np.float64)
+    scores = np.asarray(objective(plus_rows(mu_values, eps, out=candidates)), dtype=np.float64)
     if scores.shape != (cfg.batch,):
         raise ValueError(f"objective returned shape {scores.shape}, expected ({cfg.batch},)")
     weights = batch_weights(scores, cfg.n_pow, cfg.weight_mode)
@@ -215,6 +228,8 @@ def optimize_objective(
     sampler: PerturbationSampler,
     cfg: NfgConfig,
     feasibility: Callable[[np.ndarray], bool] | None = None,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, list[IterationTrace]]:
     """Run the ascent loop on a generic batch objective.
 
@@ -226,11 +241,16 @@ def optimize_objective(
 
     A degenerate batch (every sample at -inf) skips the update, records a
     zero-direction trace row, and continues with fresh samples.
+
+    ``work`` goes to every :func:`estimate_direction` call. Without it,
+    ``objective`` gets a fresh batch each iteration, which it may keep;
+    with it, the batch is ``work.candidates``, which the next iteration
+    overwrites, so an objective that keeps its batch must copy it.
     """
 
     def ascent(values: np.ndarray, k: int) -> _Step:
         try:
-            direction, stats = estimate_direction(values, objective, sampler, cfg, k)
+            direction, stats = estimate_direction(values, objective, sampler, cfg, k, work=work)
         except DegenerateBatchError:
             return _Step(None, -np.inf, 0.0, 0.0)
         norm = _norm(direction)
@@ -251,17 +271,20 @@ def optimize(
 
     Returns the final mean trajectory and one trace row per completed
     iteration. The trace's ``feasible`` flag reports whether the mean was
-    collision-free when the iteration started.
+    collision-free when the iteration started. The run builds one
+    :class:`~nfgopt._kernels.Workspace` before its first iteration, so no
+    iteration allocates a (batch, m) array.
     """
     values0 = mu0.values[:, 0]
     times = mu0.grid.times()
     dt = mu0.grid.dt
+    work = Workspace(cfg.batch, values0.shape[0], sampler.factor.shape[1], env.box_table(times))
 
     def objective(batch_values: np.ndarray) -> np.ndarray:
-        return batch_scores(env, batch_values, times, dt, score_cfg)
+        return batch_scores(env, batch_values, times, dt, score_cfg, work=work)
 
     def feasibility(values: np.ndarray) -> bool:
         return bool((penetration_profile(env, values, times) == 0.0).all())
 
-    final_values, traces = optimize_objective(values0, objective, sampler, cfg, feasibility=feasibility)
+    final_values, traces = optimize_objective(values0, objective, sampler, cfg, feasibility=feasibility, work=work)
     return Trajectory(mu0.grid, final_values), traces

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_integer, check_number
+from .errors import ConfigError, check_buffer, check_integer, check_number
 
 _UINT64_MAX = 2**64 - 1
 
@@ -175,7 +175,7 @@ class PerturbationSampler:
         # Pickle the fields alone: the copy builds its own engine and lock.
         return PerturbationSampler, (self.factor, self.seed)
 
-    def normals(self, count: int, width: int, stream: int) -> np.ndarray:
+    def normals(self, count: int, width: int, stream: int, *, out: np.ndarray | None = None) -> np.ndarray:
         """Raw standard-normal block of shape (count, width).
 
         One ``standard_normal((count, width))`` call on the sampler's
@@ -186,19 +186,39 @@ class PerturbationSampler:
         draws. This is the i.i.d. source underlying :meth:`sample`;
         consumers that need unsmoothed noise (Wiener-process rollouts) use
         it directly.
+
+        ``out``, a writeable C-contiguous float64 array of shape
+        (count, width) (else ConfigError), receives the draws and is
+        returned; without it the block is a new array. The draws are the
+        same either way.
         """
         # Integers only: Philox truncates a float key, and a float shape is a bare TypeError.
         check_integer(count, "count", 1)
         check_integer(width, "width", 1)
         check_integer(stream, "stream", 0, _UINT64_MAX)
+        if out is not None:
+            check_buffer(out, "out", (count, width))
         # Not the bit generator's own lock: standard_normal takes that one.
         with self._lock:
             self._key[1] = stream
             self._engine.bit_generator.state = self._start
-            return self._engine.standard_normal((count, width))
+            return self._engine.standard_normal((count, width), out=out)
 
-    def sample(self, count: int, stream: int) -> np.ndarray:
+    def sample(
+        self, count: int, stream: int, *, out: np.ndarray | None = None, normals_out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Draw ``count`` unit-scale smooth perturbations, shape (count, m):
-        ``normals(count, r, stream) @ factor.T``."""
-        z = self.normals(count, self.factor.shape[1], stream)
-        return z @ self.factor.T
+        ``normals(count, r, stream) @ factor.T``.
+
+        ``out`` (count, m) receives the perturbations and ``normals_out``
+        (count, r) the normals, each a writeable C-contiguous float64
+        array (else ConfigError); either one not given is a new array. The
+        perturbations are the same either way.
+        """
+        m, r = self.factor.shape
+        if normals_out is not None:
+            check_buffer(normals_out, "normals_out", (count, r))
+        z = self.normals(count, r, stream, out=normals_out)
+        if out is not None:
+            check_buffer(out, "out", (count, m))
+        return np.matmul(z, self.factor.T, out=out)

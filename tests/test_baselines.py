@@ -346,6 +346,20 @@ class TestMppiPieces:
         b = wiener_noise(bench_sampler(9), 8, 20, 0.3, 0)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("count, steps, stream", [(1, 4, 0), (8, 20, 3), (100, 100, 7)])
+    def test_wiener_noise_into_out_equals_new_noise(self, count, steps, stream):
+        out = np.full((count, steps), np.nan)
+        got = wiener_noise(bench_sampler(9), count, steps, 0.3, stream, out=out)
+        assert got is out
+        assert out.tobytes() == wiener_noise(bench_sampler(9), count, steps, 0.3, stream).tobytes()
+
+    @pytest.mark.parametrize(
+        "out", [np.zeros((8, 21)), np.zeros((8, 20), dtype=np.float32), np.zeros((8, 40))[:, ::2], np.zeros((20, 8)).T]
+    )
+    def test_wiener_noise_rejects_a_buffer_that_cannot_take_it(self, out):
+        with pytest.raises(ConfigError, match=r"out must be .* of shape \(8, 20\)"):
+            wiener_noise(bench_sampler(9), 8, 20, 0.3, 0, out=out)
+
     def test_wiener_variance_grows_linearly(self):
         eps = wiener_noise(bench_sampler(10), 20000, 101, 1.0, 0)
         v25 = eps[:, 25].var()

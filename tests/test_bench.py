@@ -296,6 +296,35 @@ class TestStrictTypes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # (rows, 30) float64 values fit np.intp but no address space: 2.4 EiB
+    UNALLOCATABLE = 11529215046068469
+
+    @pytest.mark.parametrize(
+        "method",
+        [{"name": "nfg", "batch": UNALLOCATABLE}, {"name": "stomp", "batch": UNALLOCATABLE}, {"name": "mppi", "rollouts": UNALLOCATABLE}],
+    )
+    def test_unallocatable_batch_exits_2_naming_field_rows_and_bytes(self, tmp_path, capsys, method):
+        raw = copy.deepcopy(MINI_RAW)
+        raw["methods"] = [dict(method, iterations=1)]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        field = "rollouts" if method["name"] == "mppi" else "batch"
+        rows = self.UNALLOCATABLE
+        assert re.search(
+            rf"methods\[{method['name']}\]\.{field} = {rows} rows: a workspace of \d+ bytes for {rows} rows of 30 values"
+            " does not fit in memory",
+            capsys.readouterr().err,
+        )
+        assert not (out / "records.csv").exists()
+
+    def test_unallocatable_batch_crosses_worker_processes(self, tmp_path):
+        raw = copy.deepcopy(MINI_RAW)
+        raw["methods"][0]["batch"] = self.UNALLOCATABLE
+        with pytest.raises(ConfigError, match=rf"methods\[nfg\]\.batch = {self.UNALLOCATABLE} rows"):
+            run_benchmark(parse_config(raw), parallel=2, out_dir=str(tmp_path))
+
     @pytest.mark.parametrize("seeds", [(1.5,), ("x",), (True,), (-3,)])
     def test_seeds_must_be_integers(self, seeds):
         cfg = mini_config()

@@ -1,6 +1,7 @@
 import ast
 import copy
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -672,3 +673,136 @@ class TestBatchJerk:
         with pytest.warns(RuntimeWarning, match="overflow"):
             jerk = _kernels.mean_abs_jerk(values, 1.0)
         assert jerk[0] == jerk[2] == 0.0 and np.isinf(jerk[1])
+
+
+class TestWorkspace:
+    """A run's workspace: every buffer starts on a 64-byte boundary; the
+    batch passes return from it, byte for byte, what they return without
+    it, whatever batch it served before; a batch or table it was not built
+    for is a ConfigError; and no optimizer iteration after the first
+    allocates a (B, m) array."""
+
+    @staticmethod
+    def buffers(work):
+        named = [work.normals, work.perturbations, work.candidates, work.profile, work.selected]
+        return named + [work.stencil, work.stencil_tmp] + [view for views in work.segments for view in views]
+
+    @pytest.mark.parametrize("rows, steps, width", [(1, 100, 0), (2, 100, 1), (7, 100, 12), (100, 100, 12), (3, 100, 100)])
+    def test_every_buffer_starts_on_64_bytes(self, rows, steps, width):
+        rng = np.random.default_rng(rows + width)
+        tables = [None, ENV.box_table(GRID.times())] + [_kernels.box_table(GRID.times(), random_boxes(rng)) for _ in range(5)]
+        for table in tables:
+            work = _kernels.Workspace(rows, steps, width, table)
+            shapes = [(rows, width)] + [(rows, steps)] * 4 + [(rows * steps,)] * 2
+            segments = () if table is None else table.segments
+            shapes += [(rows, cols.stop - cols.start) for cols, _ in segments for _ in range(4)]
+            buffers = self.buffers(work)
+            assert [b.shape for b in buffers] == shapes
+            for buffer in buffers:
+                assert buffer.dtype == np.float64 and buffer.flags.c_contiguous and buffer.flags.writeable
+                # numpy leaves an empty slice at its base's address; nothing reads it
+                assert buffer.size == 0 or buffer.__array_interface__["data"][0] % 64 == 0
+            widest = max((cols.stop - cols.start for cols, _ in segments), default=0)
+            assert work.nbytes == 8 * rows * (width + 6 * steps + 4 * widest)
+
+    def test_a_reused_workspace_returns_what_fresh_calls_do(self):
+        # Batch A and then batch B through one workspace, each with faces,
+        # +-0, NaN, +-inf and collision-free rows: B comes out as a fresh
+        # call gives it, so nothing of A is left in a buffer B reads.
+        rng = np.random.default_rng(23)
+        times = GRID.times()
+        free_rows = 0
+        for _ in range(100):
+            boxes = random_boxes(rng)
+            table = _kernels.box_table(times, boxes)
+            for batch in (1, 2, 7, 100):
+                work = _kernels.Workspace(batch, 100, 12, table)
+                for _ in range(2):
+                    values = random_values(rng, batch, boxes)
+                    with np.errstate(all="raise"):
+                        expected = _kernels.penetration_profile_batch(values, table)
+                        profile = _kernels.penetration_profile_batch(values, table, work=work)
+                    assert profile is work.profile
+                    assert profile.tobytes() == expected.tobytes()
+                    with np.errstate(all="ignore"):
+                        expected = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt)
+                        scores = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt, work=work)
+                    assert scores.tobytes() == expected.tobytes()
+                    free_rows += int((scores > 0.0).sum())
+        assert free_rows > 1000
+
+    @pytest.mark.parametrize("name", sorted(TestBoxTable.ENVIRONMENTS))
+    @pytest.mark.parametrize("kind", ["colliding", "free", "mixed", "special"])
+    def test_environment_scores_with_a_workspace_equal_scores_without(self, name, kind):
+        env = TestBoxTable.ENVIRONMENTS[name]
+        work = _kernels.Workspace(100, 100, 12, env.box_table(GRID.times()))
+        for seed in (1, 2):
+            values = scoring_rows(kind, 100, seed)
+            with np.errstate(all="ignore"):
+                expected = batch_scores(env, values, GRID.times(), GRID.dt, SCORE)
+                got = batch_scores(env, values, GRID.times(), GRID.dt, SCORE, work=work)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_a_batch_the_workspace_was_not_built_for_is_a_config_error(self):
+        times = GRID.times()
+        work = _kernels.Workspace(7, 100, 12, ENV.box_table(times))
+        with pytest.raises(ConfigError, match=r"built for a \(7, 100\) batch got a \(8, 100\) batch$"):
+            batch_scores(ENV, np.zeros((8, 100)), times, GRID.dt, SCORE, work=work)
+        with pytest.raises(ConfigError, match=r"got a \(7, 99\) batch"):
+            _kernels.penetration_profile_batch(np.zeros((7, 99)), ENV.box_table(times), work=work)
+        # an equal table that is another object, and a table of no boxes
+        for table in (_kernels.box_table(times, ENV.as_array()), BoxEnvironment(()).box_table(times)):
+            with pytest.raises(ConfigError, match="over another box table"):
+                _kernels.batch_scores(np.zeros((7, 100)), table, SCORE.lambda_jerk, GRID.dt, work=work)
+
+    def test_a_workspace_that_does_not_fit_names_its_bytes(self):
+        # rows * 100 values of 8 bytes fit np.intp but no address space
+        rows = 11529215046068469
+        with pytest.raises(MemoryError, match=rf"a workspace of \d+ bytes for {rows} rows of 100 values"):
+            _kernels.Workspace(rows, 100, 12, ENV.box_table(GRID.times()))
+
+    @pytest.mark.parametrize("method", ["nfg", "stomp", "mppi"])
+    def test_no_iteration_after_the_first_allocates_a_batch(self, method, monkeypatch):
+        # A hook at the top of each iteration (the feasibility check) reads
+        # how far the traced memory peaked above where the previous
+        # iteration started; B * m * 8 bytes is one (B, m) float64 array.
+        from nfgopt import baselines, nfg
+        from nfgopt.bench import REG_SCALE
+        from nfgopt.sampling import principal_factor
+
+        reg = REG_SCALE * 0.29
+        factor = principal_factor(factorize(kernel_matrix(GRID, SEKernel(0.29, 0.22)), reg), reg)
+        grown = []
+        start = []
+        iterate = nfg._iterate
+
+        def read():
+            now, peak = tracemalloc.get_traced_memory()
+            if start:
+                grown.append(peak - start[-1])
+            tracemalloc.reset_peak()
+            start.append(now)
+
+        def hooked_iterate(values0, iterations, early_stop, feasibility, update):
+            def top(values):
+                read()
+                return feasibility(values)
+
+            return iterate(values0, iterations, early_stop, top, update)
+
+        monkeypatch.setattr(nfg, "_iterate", hooked_iterate)
+        monkeypatch.setattr(baselines, "_iterate", hooked_iterate)
+        y0 = traj_1d(np.zeros(100))
+        runs = {
+            "nfg": lambda: optimize(y0, ENV, SCORE, PerturbationSampler(factor, 0), NfgConfig(iterations=6)),
+            "stomp": lambda: stomp_optimize(y0, ENV, SCORE, StompConfig(iterations=6), PerturbationSampler(factor, 0)),
+            "mppi": lambda: mppi_optimize(y0, ENV, MppiConfig(iterations=6), PerturbationSampler(factor, 0)),
+        }
+        tracemalloc.start()
+        try:
+            runs[method]()
+            read()
+        finally:
+            tracemalloc.stop()
+        assert len(grown) == 6
+        assert max(grown[1:]) < 100 * 100 * 8, grown

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nfgopt._kernels import Workspace
 from nfgopt.environment import ScoreConfig, narrow_passage_v1, penetration_profile
 from nfgopt.errors import ConfigError, DegenerateBatchError, NonFiniteStepError
 from nfgopt.nfg import NfgConfig, _norm, batch_weights, estimate_direction, optimize, optimize_objective
@@ -169,6 +170,30 @@ class TestOptimizeObjective:
         np.testing.assert_array_equal(out1, out2)
         assert [t.best_score for t in tr1] == [t.best_score for t in tr2]
         assert [t.estimator_norm for t in tr1] == [t.estimator_norm for t in tr2]
+
+    def test_workspace_gives_the_same_run_and_its_candidates_to_the_objective(self):
+        factor, cfg, sampler = self.linear_setup()
+        batches = {"fresh": [], "work": []}
+
+        def keeping(name):
+            def objective(v):
+                batches[name].append((v, v.copy()))
+                return np.sin(v).sum(axis=1)
+
+            return objective
+
+        work = Workspace(cfg.batch, 5, factor.shape[1])
+        fresh, fresh_traces = optimize_objective(np.zeros(5), keeping("fresh"), sampler, cfg)
+        reused, traces = optimize_objective(np.zeros(5), keeping("work"), sampler, cfg, work=work)
+        assert reused.tobytes() == fresh.tobytes()
+        columns = lambda t: (t.iteration, t.best_score, t.mean_weight, t.estimator_norm, t.feasible)
+        assert [columns(t) for t in traces] == [columns(t) for t in fresh_traces]
+        # without a workspace each batch is a new array, which the objective
+        # may keep; with one every batch is work.candidates
+        assert len({id(v) for v, _ in batches["fresh"]}) == cfg.iterations
+        assert all(np.array_equal(v, scored) for v, scored in batches["fresh"])
+        assert all(v is work.candidates for v, _ in batches["work"])
+        assert [a.tobytes() for _, a in batches["work"]] == [a.tobytes() for _, a in batches["fresh"]]
 
     def test_step_is_step_size_along_the_unit_direction(self):
         _, cfg, sampler = self.linear_setup(iterations=1, step_size=0.25)

@@ -402,3 +402,57 @@ class TestSamplerEquality:
         clone = pickle.loads(pickle.dumps(sampler))
         assert clone.factor is not sampler.factor
         assert clone == sampler and hash(clone) == hash(sampler)
+
+
+class TestOutputBuffers:
+    """``normals`` and ``sample`` draw into given buffers exactly what they
+    return without them, and reject a buffer that cannot take the draws."""
+
+    @pytest.mark.parametrize("count, width, stream", [(1, 1, 0), (7, 12, 3), (100, 100, 2**64 - 1)])
+    def test_normals_into_out_equal_a_new_block(self, count, width, stream):
+        sampler = PerturbationSampler(bench_factor(), seed=5)
+        out = np.full((count, width), np.nan)
+        got = sampler.normals(count, width, stream, out=out)
+        assert got is out
+        assert out.tobytes() == sampler.normals(count, width, stream).tobytes()
+
+    @pytest.mark.parametrize("count, stream", [(1, 0), (13, 4), (100, 99)])
+    def test_sample_into_out_equals_a_new_sample(self, count, stream):
+        factor = principal_factor(bench_factor(), 1e-6 * BENCH_KERNEL.variance)
+        sampler = PerturbationSampler(factor, seed=6)
+        out = np.full((count, factor.shape[0]), np.nan)
+        normals = np.full((count, factor.shape[1]), np.nan)
+        got = sampler.sample(count, stream, out=out, normals_out=normals)
+        assert got is out
+        assert out.tobytes() == sampler.sample(count, stream).tobytes()
+        assert normals.tobytes() == sampler.normals(count, factor.shape[1], stream).tobytes()
+        # either buffer alone
+        assert sampler.sample(count, stream, out=np.empty_like(out)).tobytes() == out.tobytes()
+        assert sampler.sample(count, stream, normals_out=np.empty_like(normals)).tobytes() == out.tobytes()
+
+    @staticmethod
+    def bad_buffers(shape):
+        read_only = np.zeros(shape)
+        read_only.flags.writeable = False
+        rows, cols = shape
+        return {
+            "shape": np.zeros((rows, cols + 1)),
+            "flat": np.zeros(rows * cols),
+            "dtype": np.zeros(shape, dtype=np.float32),
+            "strided": np.zeros((rows, 2 * cols))[:, ::2],
+            "fortran": np.zeros(shape, order="F"),
+            "read-only": read_only,
+            "list": [[0.0] * cols] * rows,
+        }
+
+    @pytest.mark.parametrize("kind", ["shape", "flat", "dtype", "strided", "fortran", "read-only", "list"])
+    def test_a_buffer_that_cannot_take_the_draws_is_a_config_error(self, kind):
+        factor = principal_factor(bench_factor(), 1e-6 * BENCH_KERNEL.variance)
+        sampler = PerturbationSampler(factor, seed=7)
+        m, r = factor.shape
+        with pytest.raises(ConfigError, match="out must be a writeable C-contiguous float64 array of shape"):
+            sampler.normals(4, 9, 0, out=self.bad_buffers((4, 9))[kind])
+        with pytest.raises(ConfigError, match=rf"^out must be .* of shape \(4, {m}\)"):
+            sampler.sample(4, 0, out=self.bad_buffers((4, m))[kind])
+        with pytest.raises(ConfigError, match=rf"^normals_out must be .* of shape \(4, {r}\)"):
+            sampler.sample(4, 0, normals_out=self.bad_buffers((4, r))[kind])
