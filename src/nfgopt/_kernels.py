@@ -13,10 +13,11 @@ Containment is closed on all faces and the penetration depth at a face is
 0, which keeps the score continuous. Batch scoring computes the jerk
 stencil only for the rows it scores by jerk, the collision-free ones.
 
-A :class:`Workspace` holds 64-byte-aligned buffers for one run's hot
-passes. Given as ``work``, the batch passes write into it and allocate no
-(B, m) array; without it they allocate their arrays through the same
-statements.
+One row and a batch take separate paths, selected by B = 1. A batch of
+B >= 2 rows runs its passes in a :class:`Workspace` of 64-byte-aligned
+buffers and allocates no (B, m) array: a run builds one and hands it down
+as ``work``, and a batch that arrives without one builds one at its entry.
+One row uses no workspace and allocates its own small arrays.
 """
 
 from __future__ import annotations
@@ -107,11 +108,12 @@ class Workspace:
     float64 and starting on a 64-byte boundary.
 
     A run builds one before its first iteration and hands it to every
-    batch pass as ``work``; each pass overwrites what it reads, so no value
-    carries from one batch to the next. It is not shared between runs or
-    threads. A numpy pass into a buffer that is not 64-byte aligned takes
-    about twice as long, and a fresh array lands at whatever 16-byte offset
-    the allocator returns.
+    batch pass as ``work``, and a batch pass called without one builds its
+    own; each pass overwrites what it reads, so no value carries from one
+    batch to the next. It is not shared between runs or threads. A numpy
+    pass into a buffer that is not 64-byte aligned takes about twice as
+    long, and a fresh array lands at whatever 16-byte offset the allocator
+    returns.
 
     - ``normals`` (rows, width): the sampler's standard normals, for a
       width-r factor; width 0 when the normals are drawn straight into
@@ -127,8 +129,9 @@ class Workspace:
       scores by jerk; ``stencil`` and ``stencil_tmp`` (rows * steps,): the
       flattened jerk pass's windows and its one temporary.
 
-    ``table`` None means no box covers the grid. Raises MemoryError naming
-    the bytes when the buffers do not fit in memory.
+    ``table`` None serves a batch that no box covers or that runs no
+    penetration pass. Raises MemoryError naming the bytes when the buffers
+    do not fit in memory.
     """
 
     def __init__(self, rows: int, steps: int, width: int = 0, table: BoxTable | None = None):
@@ -163,27 +166,11 @@ class Workspace:
             raise ConfigError(f"a workspace built for a {self.shape} batch got a {values.shape} batch{other}")
 
 
-_NO_SEGMENT_WORK = (None, None, None, None)
-
-
-def _contiguous(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``x`` if it is C-contiguous, else a C-contiguous copy, into ``out``
-    if given."""
-    if x.flags.c_contiguous:
-        return x
-    if out is None:
-        return x.copy()
-    out[...] = x
-    return out
-
-
-def plus_rows(row: np.ndarray, batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``row[None, :] + batch``, into ``out`` if given: the row copied into
-    every row of the result, then the batch added in place. The sums are
-    the same; a ufunc that broadcasts the row allocates a buffer of up to
-    64 KiB on every call instead, and takes longer."""
-    if out is None:
-        out = np.empty(batch.shape)
+def plus_rows(row: np.ndarray, batch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``row[None, :] + batch`` into ``out``: the row copied into every row
+    of ``out``, then the batch added in place. The sums are the same; a
+    ufunc that broadcasts the row allocates a buffer of up to 64 KiB on
+    every call instead, and takes longer."""
     out[...] = row
     out += batch
     return out
@@ -198,44 +185,41 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable, *, work: Work
     in no box's interior scores -0.0 in the columns ``[c0, c1)`` and 0.0 in
     the others.
 
-    One row (B = 1) takes one pass over the dense slots of ``[c0, c1)``, a
-    batch the per-segment passes. The segments cost a few numpy calls per
-    box whatever B is, which one row cannot amortize: on the narrow
-    passage the dense pass makes 7 numpy calls against the segments' 24
-    and takes about half their time for one row, while a 100-row batch
-    runs faster through the segments. Both passes take the same maximum
-    of the same per-box depths, which is exact in any order, so a row
-    scores the same byte for byte alone or in any batch.
+    One row (B = 1) takes one pass over the dense slots of ``[c0, c1)``
+    into a new array and reads no ``work``; a batch takes the per-segment
+    passes in its workspace. The segments cost a few numpy calls per box
+    whatever B is, which one row cannot amortize: on the narrow passage
+    the dense pass makes 7 numpy calls against the segments' 24 and takes
+    about half their time for one row, while a 100-row batch runs faster
+    through the segments. Both passes take the same maximum of the same
+    per-box depths, which is exact in any order, so a row scores the same
+    byte for byte alone or in any batch.
 
-    ``work``, a :class:`Workspace` built for ``values``' shape and
-    ``table`` (else ConfigError), takes every (B, m) array of the call: the
-    result is its ``profile``, which the next call overwrites. Without it
-    the call allocates them.
+    A batch's result is ``work.profile``, which the next call overwrites.
+    ``work`` must be built for ``values``' shape and ``table`` (else
+    ConfigError); without it the call builds one.
     """
-    if work is None:
-        s = np.zeros(values.shape)
-    else:
-        work.check(values, table)
-        s = work.profile
-    if table.c1 == table.c0:
-        return s
     if values.shape[0] == 1:
         # One path: one pass over the dense slots of [c0, c1), where the
         # empty slots give depths <= -1 and the gap columns come out -0.0.
-        v = values[0, table.c0 : table.c1]
-        depth = np.maximum.reduce(np.minimum(v - table.lo, table.hi - v), axis=0)
-        np.negative(np.fmax(depth, 0.0, out=depth), out=s[0, table.c0 : table.c1])
+        s = np.zeros(values.shape)
+        if table.c1 > table.c0:
+            v = values[0, table.c0 : table.c1]
+            depth = np.maximum.reduce(np.minimum(v - table.lo, table.hi - v), axis=0)
+            np.negative(np.fmax(depth, 0.0, out=depth), out=s[0, table.c0 : table.c1])
         return s
-    # The segments overwrite all but the columns in no box; a workspace's
-    # profile holds these zeros from its build.
-    if work is None:
-        s[:, table.c0 : table.c1] = -0.0
-    buffers = [_NO_SEGMENT_WORK] * len(table.segments) if work is None else work.segments
-    for (columns, slots), (copy, deepest, a, b) in zip(table.segments, buffers):
+    work = Workspace(*values.shape, table=table) if work is None else work
+    work.check(values, table)
+    # The segments overwrite all but the columns in no box, which hold
+    # the profile's zeros from its build.
+    for (columns, slots), (copy, deepest, a, b) in zip(table.segments, work.segments):
         # One box at a time over the segment's columns, contiguous (a copy
         # unless the segment spans the row): the deepest containment per
         # point, negative in no box and NaN for a NaN value.
-        v = _contiguous(values[:, columns], copy)
+        v = values[:, columns]
+        if not v.flags.c_contiguous:
+            copy[...] = v
+            v = copy
         lo, hi = slots[0]
         depth = np.minimum(np.subtract(v, lo, out=deepest), np.subtract(hi, v, out=a), out=deepest)
         for lo, hi in slots[1:]:
@@ -243,8 +227,8 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable, *, work: Work
         # fmax maps negative depths and NaN to 0. Negated in place, then
         # copied: a ufunc writing into the strided columns would allocate a
         # buffer of their size.
-        s[:, columns] = np.negative(np.fmax(depth, 0.0, out=depth), out=depth)
-    return s
+        work.profile[:, columns] = np.negative(np.fmax(depth, 0.0, out=depth), out=depth)
+    return work.profile
 
 
 def third_difference(values: np.ndarray, out: np.ndarray | None = None, *, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -273,15 +257,17 @@ def batch_scores(
     The jerk is computed only for the collision-free rows, and a table that
     covers no column skips the penetration pass. Each row reduces along the
     contiguous last axis on its own, so a row scores the same in any batch.
-    ``work``, a :class:`Workspace` built for ``values``' shape and
-    ``table`` (else ConfigError), takes every (B, m) array of the call;
-    the scores are a new array either way.
+    A batch runs every (B, m) pass in ``work``, built for ``values``' shape
+    and ``table`` (else ConfigError), or in one the call builds; one row
+    reads no ``work``. The scores are a new array either way.
     """
+    one = values.shape[0] == 1
+    if not one:
+        work = Workspace(*values.shape, table=table) if work is None else work
+        work.check(values, table)
     if table.c1 == table.c0:
-        if work is not None:
-            work.check(values, table)
         return _jerk_bonus(values, lambda_jerk, dt, work)
-    s = _profile(values, table, work=work)  # checks the workspace
+    s = _profile(values, table, work=work)
     # add.reduce / n is what .mean computes, without its Python wrapper.
     # A sum of finite entries <= 0 is negative exactly when one entry is:
     # adding zeros is exact, and a sum of negatives never rounds to 0.
@@ -289,11 +275,12 @@ def batch_scores(
     free = total == 0.0
     scores = total / s.shape[1]
     if np.logical_or.reduce(free):
-        rows = free.nonzero()[0]
-        # mode "clip" (the rows are in range anyway) copies straight into
-        # the output; the default mode copies through a buffer of its size.
-        selected = values.take(rows, axis=0, out=None if work is None else work.selected[: rows.size], mode="clip")
-        scores[free] = _jerk_bonus(selected, lambda_jerk, dt, work)
+        if not one:
+            rows = free.nonzero()[0]
+            # mode "clip" (the rows are in range anyway) copies straight into
+            # the output; the default mode copies through a buffer of its size.
+            values = values.take(rows, axis=0, out=work.selected[: rows.size], mode="clip")
+        scores[free] = _jerk_bonus(values, lambda_jerk, dt, work)
     return scores
 
 
@@ -301,12 +288,15 @@ def mean_abs_jerk(values: np.ndarray, dt: float, *, work: Workspace | None = Non
     """Mean |third difference| / dt^3 along the last axis: the sum over the
     ``n - 3`` windows, divided by their count, then by dt^3, which is what
     ``np.abs(d3).mean() / dt**3`` computes. A float for one path, an array
-    of shape (B,) for a (B, m) batch. ``work``, a :class:`Workspace` with
-    at least as many values as the batch, holds the flattened pass."""
+    of shape (B,) for a (B, m) batch. A C-contiguous float64 batch of B >= 2
+    rows runs the flattened pass in ``work``, a :class:`Workspace` with at
+    least as many values as the batch, or in one the call builds; one row
+    reads no ``work`` and takes the stencil over its row."""
     total = None
-    if values.ndim == 2 and values.shape[1] > 3 and values.dtype == np.float64 and values.flags.c_contiguous:
-        total = _flat_abs_jerk_sums(values, work)
-    if total is None or not np.isfinite(total).all():  # 1-D, strided, or a window overflowed
+    batch = values.ndim == 2 and values.shape[0] > 1 and values.shape[1] > 3
+    if batch and values.dtype == np.float64 and values.flags.c_contiguous:
+        total = _flat_abs_jerk_sums(values, Workspace(*values.shape) if work is None else work)
+    if total is None or not np.isfinite(total).all():  # one row, strided, or a window overflowed
         d3 = third_difference(values)
         total = np.add.reduce(np.abs(d3, out=d3), axis=-1)
     jerk = total / (values.shape[-1] - 3)
@@ -314,9 +304,9 @@ def mean_abs_jerk(values: np.ndarray, dt: float, *, work: Workspace | None = Non
     return jerk
 
 
-def _flat_abs_jerk_sums(values: np.ndarray, work: Workspace | None) -> np.ndarray:
+def _flat_abs_jerk_sums(values: np.ndarray, work: Workspace) -> np.ndarray:
     """Row sums of |third difference| for a C-contiguous float64 (B, m)
-    batch, m > 3, in ``work``'s stencil buffers if given.
+    batch, m > 3, in ``work``'s stencil buffers.
 
     The stencil and |.| run as 1-D passes over the flattened batch, which
     numpy does about 3x faster per element than over (B, m - 3) row slices.
@@ -330,16 +320,15 @@ def _flat_abs_jerk_sums(values: np.ndarray, work: Workspace | None) -> np.ndarra
     the same warnings as ever.
     """
     n = values.size
-    buf, tmp = (np.empty(n), None) if work is None else (work.stencil[:n], work.stencil_tmp[: n - 3])
     with np.errstate(all="ignore"):
-        d3 = third_difference(values.reshape(n), out=buf[: n - 3], tmp=tmp)
+        d3 = third_difference(values.reshape(n), out=work.stencil[: n - 3], tmp=work.stencil_tmp[: n - 3])
         np.abs(d3, out=d3)
-        return np.add.reduce(buf.reshape(values.shape)[:, :-3], axis=1)
+        return np.add.reduce(work.stencil[:n].reshape(values.shape)[:, :-3], axis=1)
 
 
 def _jerk_bonus(values: np.ndarray, lambda_jerk: float, dt: float, work: Workspace | None = None) -> np.ndarray:
     """exp(-lambda_jerk * mean |third difference| / dt^3) per row, evaluated
-    in place in that order."""
+    in place in that order; ``work`` goes to :func:`mean_abs_jerk`."""
     jerk = mean_abs_jerk(values, dt, work=work)
     jerk *= -lambda_jerk
     return np.exp(jerk, out=jerk)

@@ -26,7 +26,7 @@ from . import _kernels
 from ._kernels import Workspace, plus_rows
 from .environment import BoxEnvironment, ScoreConfig, batch_scores
 from .errors import check_bool, check_integer, check_number
-from .nfg import IterationTrace, _iterate, _norm, _Step
+from .nfg import IterationTrace, _draw, _iterate, _norm, _Step
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
 
@@ -110,9 +110,7 @@ def stomp_optimize(
     work = Workspace(cfg.batch, values0.shape[0], sampler.factor.shape[1], env.box_table(times))
 
     def reweight(values: np.ndarray, k: int) -> _Step:
-        eps = sampler.sample(cfg.batch, k, out=work.perturbations, normals_out=work.normals)
-        eps *= cfg.sigma
-        candidates = plus_rows(values, eps, out=work.candidates)
+        eps, candidates = _draw(values, sampler, cfg, k, work)
         scores = batch_scores(env, candidates, times, dt, score_cfg, work=work)
         return _reweighted(_stomp_raw(1.0 - scores, cfg.temperature), eps, float(np.maximum.reduce(scores)))
 
@@ -332,7 +330,7 @@ def mppi_optimize(
 
     def rollout(values: np.ndarray, k: int) -> _Step:
         eps = wiener_noise(sampler, cfg.rollouts, m, scale, k, out=work.perturbations)
-        candidates = plus_rows(values, eps, out=work.candidates)
+        candidates = plus_rows(values, eps, work.candidates)
         pen = _kernels.penetration_profile_batch(candidates, table, work=work)
         costs = _rollout_costs(candidates, pen, cfg)
         return _reweighted(_softmin_raw(costs, cfg.temperature), eps, float(-np.minimum.reduce(costs)))

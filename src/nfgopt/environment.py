@@ -145,11 +145,11 @@ def batch_scores(
     Colliding rows score the mean penetration (non-positive); collision-free
     rows score exp(-lambda_jerk * average absolute jerk), in (0, 1].
 
-    ``work`` is a run's :class:`~nfgopt._kernels.Workspace`, built for a
-    (B, steps) batch and for ``env.box_table(times)``; the scoring passes
-    then write into its buffers instead of allocating (B, steps) arrays.
-    Another shape or table is a ConfigError. The scores are the same
-    either way.
+    A batch of B >= 2 rows is scored in ``work``, a run's
+    :class:`~nfgopt._kernels.Workspace` built for a (B, steps) batch and
+    for ``env.box_table(times)`` (another shape or table is a
+    ConfigError), or in one the call builds; one row reads no ``work``.
+    The scores are the same either way.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2:

@@ -117,6 +117,16 @@ def batch_weights(scores: np.ndarray, n_pow: float, weight_mode: str) -> np.ndar
     return weights
 
 
+def _draw(values: np.ndarray, sampler: PerturbationSampler, cfg, stream: int, work: Workspace):
+    """The draw NFG and STOMP share, for ``cfg`` an NfgConfig or a
+    StompConfig: the perturbations ``cfg.sigma * sampler.sample(cfg.batch,
+    stream)`` and the candidates ``values + perturbations``, in ``work``'s
+    ``perturbations`` and ``candidates``."""
+    eps = sampler.sample(cfg.batch, stream, out=work.perturbations, normals_out=work.normals)
+    eps *= cfg.sigma
+    return eps, plus_rows(values, eps, work.candidates)
+
+
 def estimate_direction(
     mu_values: np.ndarray,
     objective: Callable[[np.ndarray], np.ndarray],
@@ -144,9 +154,9 @@ def estimate_direction(
         Buffers for a (``cfg.batch``, m) batch and the sampler's rank: the
         normals, perturbations and candidates are drawn and summed into its
         ``normals``, ``perturbations`` and ``candidates``, so ``objective``
-        receives ``work.candidates``, overwritten by the next call. Without
-        it each call allocates them, and ``objective`` receives a new
-        array. The direction is the same either way.
+        receives ``work.candidates``, overwritten by the next call that
+        uses ``work``. Without it the call builds one, and ``objective``
+        receives its new candidates. The direction is the same either way.
 
     Returns
     -------
@@ -162,12 +172,9 @@ def estimate_direction(
         raise ConfigError(
             f"mu has shape {mu_values.shape} but the covariance factor is {sampler.factor.shape}"
         )
-    normals, perturbations, candidates = (
-        (None, None, None) if work is None else (work.normals, work.perturbations, work.candidates)
-    )
-    eps = sampler.sample(cfg.batch, stream, out=perturbations, normals_out=normals)
-    eps *= cfg.sigma
-    scores = np.asarray(objective(plus_rows(mu_values, eps, out=candidates)), dtype=np.float64)
+    work = Workspace(cfg.batch, mu_values.shape[0], sampler.factor.shape[1]) if work is None else work
+    eps, candidates = _draw(mu_values, sampler, cfg, stream, work)
+    scores = np.asarray(objective(candidates), dtype=np.float64)
     if scores.shape != (cfg.batch,):
         raise ValueError(f"objective returned shape {scores.shape}, expected ({cfg.batch},)")
     weights = batch_weights(scores, cfg.n_pow, cfg.weight_mode)
@@ -243,9 +250,10 @@ def optimize_objective(
     zero-direction trace row, and continues with fresh samples.
 
     ``work`` goes to every :func:`estimate_direction` call. Without it,
-    ``objective`` gets a fresh batch each iteration, which it may keep;
-    with it, the batch is ``work.candidates``, which the next iteration
-    overwrites, so an objective that keeps its batch must copy it.
+    each iteration builds a workspace, so ``objective`` gets a fresh batch
+    each iteration, which it may keep; with it, the batch is
+    ``work.candidates``, which the next iteration overwrites, so an
+    objective that keeps its batch must copy it.
     """
 
     def ascent(values: np.ndarray, k: int) -> _Step:

@@ -1,10 +1,12 @@
 """The README against the code: its CLI block against the argument
 parser, its Configuration section against the config parser and the
 packaged config, its Library example against the package, and the
-package root's exports against the README and the benchmark, and its
-Outputs section against the artifact headers."""
+package root's exports against the README and the benchmark, its
+Outputs section against the artifact headers, and its buffer paragraph
+against the package's buffer parameters."""
 
 import argparse
+import ast
 import dataclasses
 import json
 import re
@@ -80,3 +82,35 @@ def test_readme_outputs_name_every_artifact_header():
     section = re.search(r"## Outputs\n(.*?)\n## ", README.read_text(), flags=re.DOTALL).group(1)
     headers = [cell for cell in re.findall(r"`([^`\n]+)`", section) if "," in cell]
     assert headers == [",".join(RECORD_FIELDS), ",".join(TRACE_FIELDS), ",".join(TRAJECTORY_HEADER)]
+
+
+def test_readme_buffer_paragraph_names_every_buffer_parameter():
+    # the Backends paragraph on buffers names functions as `name(..., kw=)`:
+    # each named keyword is a parameter of every function of that name in
+    # the package, and each work, out and normals_out parameter is named
+    paragraph = re.search(r"\nThe buffers go down through .*?\n\n", README.read_text(), flags=re.DOTALL).group(0)
+    named = {
+        (function, keyword)
+        for function, keywords in re.findall(r"`(?:\w+\.)*(\w+)\(\.\.\., ([^`]*)\)`", paragraph)
+        for keyword in re.findall(r"(\w+)=", keywords)
+    }
+    parameters = {}
+    for path in sorted((README.parent / "src" / "nfgopt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                parameters.setdefault(node.name, []).append(names)
+    lacking = [
+        (function, keyword)
+        for function, keyword in sorted(named)
+        if not all(keyword in names for names in parameters.get(function, [set()]))
+    ]
+    assert lacking == []
+    buffers = {
+        (function, name)
+        for function, signatures in parameters.items()
+        for names in signatures
+        for name in names & {"work", "out", "normals_out"}
+    }
+    assert sorted(buffers - named) == []

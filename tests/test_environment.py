@@ -19,7 +19,7 @@ from nfgopt.baselines import (
     mppi_optimize,
     stomp_optimize,
 )
-from nfgopt.bench import METHODS, parse_config, run_single
+from nfgopt.bench import METHODS, evaluate_external, parse_config, run_single
 from nfgopt.environment import (
     BoxEnvironment,
     BoxObstacle,
@@ -624,6 +624,14 @@ def strided_mean_abs_jerk(values, dt):
     return jerk
 
 
+def reference_scores(values, table):
+    """Reference scores on GRID: the mean of the slot tensor profile for
+    colliding rows, the jerk bonus of the strided jerk for the others."""
+    total = np.add.reduce(slot_tensor_profile(values, table), axis=1)
+    bonus = np.exp(-SCORE.lambda_jerk * strided_mean_abs_jerk(values, GRID.dt))
+    return np.where(total == 0.0, bonus, total / values.shape[1])
+
+
 class TestBatchJerk:
     """mean_abs_jerk over a (B, m) batch equals the strided row-by-row
     reference byte for byte, and raises exactly when the reference does."""
@@ -677,9 +685,10 @@ class TestBatchJerk:
 
 class TestWorkspace:
     """A run's workspace: every buffer starts on a 64-byte boundary; the
-    batch passes return from it, byte for byte, what they return without
-    it, whatever batch it served before; a batch or table it was not built
-    for is a ConfigError; and no optimizer iteration after the first
+    batch passes return from a reused one, byte for byte, what they return
+    from a fresh one and what the references give, whatever batch it
+    served before; a batch or table it was not built for is a ConfigError;
+    a one-row call builds none; and no optimizer iteration after the first
     allocates a (B, m) array."""
 
     @staticmethod
@@ -707,8 +716,9 @@ class TestWorkspace:
 
     def test_a_reused_workspace_returns_what_fresh_calls_do(self):
         # Batch A and then batch B through one workspace, each with faces,
-        # +-0, NaN, +-inf and collision-free rows: B comes out as a fresh
-        # call gives it, so nothing of A is left in a buffer B reads.
+        # +-0, NaN, +-inf and collision-free rows: B comes out as from a
+        # fresh workspace and as the references give it, so nothing of A is
+        # left in a buffer B reads. One row uses no workspace.
         rng = np.random.default_rng(23)
         times = GRID.times()
         free_rows = 0
@@ -720,28 +730,37 @@ class TestWorkspace:
                 for _ in range(2):
                     values = random_values(rng, batch, boxes)
                     with np.errstate(all="raise"):
-                        expected = _kernels.penetration_profile_batch(values, table)
+                        expected = slot_tensor_profile(values, table)
+                        fresh = _kernels.penetration_profile_batch(values, table)
                         profile = _kernels.penetration_profile_batch(values, table, work=work)
-                    assert profile is work.profile
-                    assert profile.tobytes() == expected.tobytes()
+                    assert (profile is work.profile) == (batch > 1)
+                    assert profile.tobytes() == fresh.tobytes() == expected.tobytes()
                     with np.errstate(all="ignore"):
-                        expected = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt)
+                        expected = reference_scores(values, table)
+                        fresh = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt)
                         scores = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt, work=work)
-                    assert scores.tobytes() == expected.tobytes()
+                        jerk = _kernels.mean_abs_jerk(values, GRID.dt, work=work)
+                        expected_jerk = strided_mean_abs_jerk(values, GRID.dt)
+                    assert scores.tobytes() == fresh.tobytes() == expected.tobytes()
+                    assert jerk.tobytes() == expected_jerk.tobytes()
                     free_rows += int((scores > 0.0).sum())
         assert free_rows > 1000
 
     @pytest.mark.parametrize("name", sorted(TestBoxTable.ENVIRONMENTS))
     @pytest.mark.parametrize("kind", ["colliding", "free", "mixed", "special"])
     def test_environment_scores_with_a_workspace_equal_scores_without(self, name, kind):
+        # a reused workspace, a fresh one built by the call, and the
+        # references: the slot tensor profile and the strided jerk
         env = TestBoxTable.ENVIRONMENTS[name]
-        work = _kernels.Workspace(100, 100, 12, env.box_table(GRID.times()))
+        table = env.box_table(GRID.times())
+        work = _kernels.Workspace(100, 100, 12, table)
         for seed in (1, 2):
             values = scoring_rows(kind, 100, seed)
             with np.errstate(all="ignore"):
-                expected = batch_scores(env, values, GRID.times(), GRID.dt, SCORE)
+                expected = reference_scores(values, table)
+                fresh = batch_scores(env, values, GRID.times(), GRID.dt, SCORE)
                 got = batch_scores(env, values, GRID.times(), GRID.dt, SCORE, work=work)
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == fresh.tobytes() == expected.tobytes()
 
     def test_a_batch_the_workspace_was_not_built_for_is_a_config_error(self):
         times = GRID.times()
@@ -760,6 +779,28 @@ class TestWorkspace:
         rows = 11529215046068469
         with pytest.raises(MemoryError, match=rf"a workspace of \d+ bytes for {rows} rows of 100 values"):
             _kernels.Workspace(rows, 100, 12, ENV.box_table(GRID.times()))
+
+    def test_one_row_calls_build_no_workspace(self, monkeypatch, tmp_path):
+        # a workspace takes longer to build than a whole one-row score
+        def refused(*args, **kwargs):
+            raise AssertionError("a one-row call built a workspace")
+
+        monkeypatch.setattr(_kernels, "Workspace", refused)
+        times = GRID.times()
+        colliding, free = np.zeros(100), np.full(100, 10.0)
+        assert (penetration_profile(ENV, colliding, times) < 0.0).any()
+        for env in (ENV, BoxEnvironment(())):
+            assert batch_scores(env, free[None, :], times, GRID.dt, SCORE)[0] > 0.0
+        assert batch_scores(ENV, colliding[None, :], times, GRID.dt, SCORE)[0] < 0.0
+        rng = np.random.default_rng(0)
+        for start in (colliding, free):
+            _, traces = chomp_optimize(traj_1d(start), ENV, SCORE, ChompConfig(iterations=1), rng)
+            assert len(traces) == 1
+        path = tmp_path / "path.csv"
+        path.write_text("0.0\n0.5\n0.0\n")
+        assert evaluate_external(str(path), ENV, GRID).score < 0.0
+        with pytest.raises(AssertionError, match="built a workspace"):
+            batch_scores(ENV, np.zeros((2, 100)), times, GRID.dt, SCORE)
 
     @pytest.mark.parametrize("method", ["nfg", "stomp", "mppi"])
     def test_no_iteration_after_the_first_allocates_a_batch(self, method, monkeypatch):

@@ -172,6 +172,8 @@ class TestOptimizeObjective:
         assert [t.estimator_norm for t in tr1] == [t.estimator_norm for t in tr2]
 
     def test_workspace_gives_the_same_run_and_its_candidates_to_the_objective(self):
+        # a reused workspace against a fresh one per iteration, and the
+        # first batch against the written-out mu + sigma * sample
         factor, cfg, sampler = self.linear_setup()
         batches = {"fresh": [], "work": []}
 
@@ -188,12 +190,15 @@ class TestOptimizeObjective:
         assert reused.tobytes() == fresh.tobytes()
         columns = lambda t: (t.iteration, t.best_score, t.mean_weight, t.estimator_norm, t.feasible)
         assert [columns(t) for t in traces] == [columns(t) for t in fresh_traces]
-        # without a workspace each batch is a new array, which the objective
-        # may keep; with one every batch is work.candidates
+        # without a workspace each iteration builds one, so each batch is a
+        # new array, which the objective may keep; with one every batch is
+        # work.candidates
         assert len({id(v) for v, _ in batches["fresh"]}) == cfg.iterations
         assert all(np.array_equal(v, scored) for v, scored in batches["fresh"])
         assert all(v is work.candidates for v, _ in batches["work"])
         assert [a.tobytes() for _, a in batches["work"]] == [a.tobytes() for _, a in batches["fresh"]]
+        first = np.zeros(5)[None, :] + cfg.sigma * sampler.sample(cfg.batch, 0)
+        assert batches["work"][0][1].tobytes() == first.tobytes()
 
     def test_step_is_step_size_along_the_unit_direction(self):
         _, cfg, sampler = self.linear_setup(iterations=1, step_size=0.25)
