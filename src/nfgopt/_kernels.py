@@ -4,14 +4,16 @@ box penetration and batched trajectory scoring.
 The kernels vectorize over the batch axis with numpy. They read the boxes
 from a :class:`BoxTable`, which :func:`box_table` builds once per time grid
 from a float64 array of shape ``(n_boxes, 4)`` with columns ``t_lo, t_hi,
-y_lo, y_hi``. The table splits the covered grid columns into segments, the
-maximal runs of columns that the same boxes cover. A batch's penetration
-runs one pass per box of a segment over a contiguous copy of its columns,
-with the box's y-interval as two scalars; one path's runs one pass over the
-table's dense slots, which costs about half as much for a single row.
-Containment is closed on all faces and the penetration depth at a face is
-0, which keeps the score continuous. Batch scoring computes the jerk
-stencil only for the rows it scores by jerk, the collision-free ones.
+y_lo, y_hi``. The table splits the grid columns that some box covers into
+segments, the maximal runs of columns that the same boxes cover. A batch's
+penetration runs one pass per box of a segment over a contiguous copy of
+its columns, with the box's y-interval as two scalars; one path's runs one
+pass over the table's dense slots, which costs about half as much for a
+single row. Containment is closed on all faces and the penetration depth
+at a face is 0, which keeps the score continuous. Both passes score every
+point as ``environment.penetration_step`` does, byte for byte: +0.0 in no
+box's interior. Batch scoring computes the jerk stencil only for the rows
+it scores by jerk, the collision-free ones.
 
 One row and a batch take separate paths, selected by B = 1. A batch of
 B >= 2 rows runs its passes in a :class:`Workspace` of 64-byte-aligned
@@ -31,26 +33,29 @@ from .errors import ConfigError
 
 BACKEND = "numpy"
 
+# The zero operand of the penetration passes: numpy converts a Python float
+# operand on every ufunc call, and a 0-d array it does not.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
 
 class BoxTable(NamedTuple):
     """Boxes over one time grid.
 
-    Columns outside ``[c0, c1)`` lie in no box. ``segments`` lists, in
-    column order, the maximal runs of columns that one set of boxes
-    covers, as ``(columns, slots)``: ``columns`` is the run's ``slice`` of
-    the grid and ``slots`` the ``(y_lo, y_hi)`` of its boxes, as floats in
-    the order the boxes were given. The columns of ``[c0, c1)`` in no
-    segment lie in no box either.
+    ``segments`` lists, in column order, the maximal runs of columns that
+    one set of boxes covers, as ``(columns, slots)``: ``columns`` is the
+    run's ``slice`` of the grid and ``slots`` the ``(y_lo, y_hi)`` of its
+    boxes, as floats in the order the boxes were given. Columns in no
+    segment lie in no box.
 
-    ``lo`` and ``hi`` hold the same intervals densely, for rules that read
-    one column or one path at a time (the one-path penetration pass, the
-    baselines' feasibility comparison and CHOMP's outward normal): slot j
-    of column ``c0 + k`` holds ``[lo[j, k], hi[j, k]]``, the j-th box
-    covering that column, and slots no box uses hold an empty interval.
+    ``lo`` and ``hi`` hold the same intervals densely over all the grid's
+    columns, for rules that read one column or one path at a time (the
+    one-path penetration pass, the baselines' feasibility comparison and
+    CHOMP's outward normal): slot j of column k holds ``[lo[j, k], hi[j,
+    k]]``, the j-th box covering that column, and slots no box uses hold
+    the empty interval [1, -1].
     """
 
-    c0: int
-    c1: int
     lo: np.ndarray
     hi: np.ndarray
     segments: tuple[tuple[slice, tuple[tuple[float, float], ...]], ...]
@@ -59,39 +64,28 @@ class BoxTable(NamedTuple):
 def box_table(times: np.ndarray, boxes: np.ndarray) -> BoxTable:
     """The :class:`BoxTable` of ``boxes`` (n, 4) over grid ``times`` (m,)."""
     covers = (times >= boxes[:, 0:1]) & (times <= boxes[:, 1:2])
-    columns = np.flatnonzero(covers.any(axis=0))
-    if columns.size == 0:
-        return BoxTable(0, 0, np.empty((0, 0)), np.empty((0, 0)), ())
-    c0, c1 = int(columns[0]), int(columns[-1]) + 1
-    covers = covers[:, c0:c1]
     slot = np.cumsum(covers, axis=0) - 1
     box, col = np.nonzero(covers)
     # Unused slots hold the empty interval [1, -1]: min(v - 1, -1 - v) <= -1
     # for every finite v, and finite ends never give inf - inf.
-    lo = np.full((int(slot.max()) + 1, c1 - c0), 1.0)
+    lo = np.full((int(slot.max(initial=-1)) + 1, times.size), 1.0)
     hi = np.full_like(lo, -1.0)
-    # A zero face is stored as -0.0 below and +0.0 above. Then neither
-    # v - lo nor hi - v is ever -0.0, nor is any depth, and the penetration
-    # pass's fmax never meets -0.0 and +0.0, for which numpy returns either
-    # zero depending on the element's position in the array.
-    lo[slot[box, col], col] = np.where(boxes[box, 2] == 0.0, -0.0, boxes[box, 2])
-    hi[slot[box, col], col] = boxes[box, 3] + 0.0
+    lo[slot[box, col], col] = boxes[box, 2]
+    hi[slot[box, col], col] = boxes[box, 3]
     lo.flags.writeable = hi.flags.writeable = False
-    # A run starts at c0 and wherever the covering boxes change; the runs
-    # some box covers are the segments, and their slots are the used
+    # A run starts at column 0 and wherever the covering boxes change; the
+    # runs some box covers are the segments, and their slots are the used
     # dense slots of their first column.
     starts = np.flatnonzero(np.concatenate(([True], (covers[:, 1:] != covers[:, :-1]).any(axis=0))))
     runs = zip(
         starts.tolist(),
-        [*starts[1:].tolist(), c1 - c0],
+        [*starts[1:].tolist(), times.size],
         covers[:, starts].sum(axis=0).tolist(),
         lo[:, starts].T.tolist(),
         hi[:, starts].T.tolist(),
     )
-    segments = tuple(
-        (slice(c0 + start, c0 + stop), tuple(zip(los[:n], his[:n]))) for start, stop, n, los, his in runs if n
-    )
-    return BoxTable(c0, c1, lo, hi, segments)
+    segments = tuple((slice(start, stop), tuple(zip(los[:n], his[:n]))) for start, stop, n, los, his in runs if n)
+    return BoxTable(lo, hi, segments)
 
 
 def _aligned(shape: tuple[int, ...]) -> np.ndarray:
@@ -119,10 +113,10 @@ class Workspace:
       width-r factor; width 0 when the normals are drawn straight into
       ``perturbations`` (MPPI's Wiener increments);
     - ``perturbations`` and ``candidates`` (rows, steps);
-    - ``profile`` (rows, steps): the penetration profile, built with 0.0
-      outside ``[c0, c1)`` of ``table`` and -0.0 inside, which the batch
-      pass keeps, so that it writes only the segments' columns; it is the
-      array the pass returns, so callers only read it;
+    - ``profile`` (rows, steps): the penetration profile, built with 0.0,
+      which the batch pass keeps in the columns of no segment, so that it
+      writes only the segments' columns; it is the array the pass returns,
+      so callers only read it;
     - ``segments``: per segment of ``table``, the (rows, w) views for its
       contiguous copy and its depth and two differences, w its width;
     - ``selected`` (rows, steps): the collision-free rows batch scoring
@@ -151,8 +145,6 @@ class Workspace:
         self.perturbations, self.candidates, self.profile, self.selected = buffers[:4]
         self.stencil, self.stencil_tmp, self.normals = buffers[4:7]
         self.profile[...] = 0.0
-        if table is not None:
-            self.profile[:, table.c0 : table.c1] = -0.0
         self.segments = tuple(
             tuple(buf[: rows * (columns.stop - columns.start)].reshape(rows, -1) for buf in buffers[7:])
             for columns, _ in segments
@@ -181,33 +173,33 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable, *, work: Work
 
     ``values`` has shape (B, m) on the grid ``table`` was built for; returns
     (B, m) with entries <= 0. A point inside several boxes takes the most
-    negative per-box depth; NaN and infinite values lie in no box. A point
-    in no box's interior scores -0.0 in the columns ``[c0, c1)`` and 0.0 in
-    the others.
+    negative per-box depth; NaN and infinite values lie in no box. Every
+    entry is ``environment.penetration_step`` of its point byte for byte:
+    a point in no box's interior scores +0.0.
 
-    One row (B = 1) takes one pass over the dense slots of ``[c0, c1)``
-    into a new array and reads no ``work``; a batch takes the per-segment
-    passes in its workspace. The segments cost a few numpy calls per box
-    whatever B is, which one row cannot amortize: on the narrow passage
-    the dense pass makes 7 numpy calls against the segments' 24 and takes
-    about half their time for one row, while a 100-row batch runs faster
-    through the segments. Both passes take the same maximum of the same
-    per-box depths, which is exact in any order, so a row scores the same
-    byte for byte alone or in any batch.
+    One row (B = 1) takes one pass over the dense slots into a new array
+    and reads no ``work``; a batch takes the per-segment passes in its
+    workspace. The segments cost a few numpy calls per box whatever B is,
+    which one row cannot amortize: on the narrow passage the dense pass
+    makes 6 numpy calls against the segments' 24 and takes about half
+    their time for one row, while a 100-row batch runs faster through the
+    segments. Both passes take the same maximum of the same per-box
+    depths, which is exact in any order, and score it ``0 - fmax(depth,
+    0)``, which is +0.0 whichever zero ``fmax`` returns, so a row scores
+    the same byte for byte alone or in any batch.
 
     A batch's result is ``work.profile``, which the next call overwrites.
     ``work`` must be built for ``values``' shape and ``table`` (else
     ConfigError); without it the call builds one.
     """
     if values.shape[0] == 1:
-        # One path: one pass over the dense slots of [c0, c1), where the
-        # empty slots give depths <= -1 and the gap columns come out -0.0.
-        s = np.zeros(values.shape)
-        if table.c1 > table.c0:
-            v = values[0, table.c0 : table.c1]
-            depth = np.maximum.reduce(np.minimum(v - table.lo, table.hi - v), axis=0)
-            np.negative(np.fmax(depth, 0.0, out=depth), out=s[0, table.c0 : table.c1])
-        return s
+        # One path: one pass over the dense slots, where the empty slots
+        # give depths <= -1.
+        if not table.segments:
+            return np.zeros(values.shape)
+        v = values[0]
+        depth = np.maximum.reduce(np.minimum(v - table.lo, table.hi - v), axis=0)
+        return np.subtract(_ZERO, np.fmax(depth, _ZERO, out=depth), out=depth)[None]
     work = Workspace(*values.shape, table=table) if work is None else work
     work.check(values, table)
     # The segments overwrite all but the columns in no box, which hold
@@ -224,10 +216,10 @@ def penetration_profile_batch(values: np.ndarray, table: BoxTable, *, work: Work
         depth = np.minimum(np.subtract(v, lo, out=deepest), np.subtract(hi, v, out=a), out=deepest)
         for lo, hi in slots[1:]:
             np.maximum(depth, np.minimum(np.subtract(v, lo, out=a), np.subtract(hi, v, out=b), out=a), out=depth)
-        # fmax maps negative depths and NaN to 0. Negated in place, then
-        # copied: a ufunc writing into the strided columns would allocate a
-        # buffer of their size.
-        work.profile[:, columns] = np.negative(np.fmax(depth, 0.0, out=depth), out=depth)
+        # fmax maps negative depths and NaN to 0. Subtracted from zero in
+        # place, then copied: a ufunc writing into the strided columns would
+        # allocate a buffer of their size.
+        work.profile[:, columns] = np.subtract(_ZERO, np.fmax(depth, _ZERO, out=depth), out=depth)
     return work.profile
 
 
@@ -265,7 +257,7 @@ def batch_scores(
     if not one:
         work = Workspace(*values.shape, table=table) if work is None else work
         work.check(values, table)
-    if table.c1 == table.c0:
+    if not table.segments:
         return _jerk_bonus(values, lambda_jerk, dt, work)
     s = _profile(values, table, work=work)
     # add.reduce / n is what .mean computes, without its Python wrapper.

@@ -38,11 +38,10 @@ def _collision_free(env: BoxEnvironment, times: np.ndarray):
     a box. Equal to a zero penetration profile: a point on a face is clear,
     and empty table slots and NaN or infinite values lie in no box."""
     table = env.box_table(times)
-    c0, c1, lo, hi = table.c0, table.c1, table.lo, table.hi
+    lo, hi = table.lo, table.hi
 
     def feasible(values: np.ndarray) -> bool:
-        v = values[c0:c1]
-        return not np.logical_or.reduce((lo < v) & (v < hi), axis=None)
+        return not np.logical_or.reduce((lo < values) & (values < hi), axis=None)
 
     return feasible
 
@@ -155,8 +154,8 @@ def _outward_sign(table: _kernels.BoxTable, column: int, y: float, rng: np.rando
     which lies inside a box of ``table``: toward the nearer horizontal face
     of the deepest containing box (the first listed at equal depth), random
     at an exact midpoint tie."""
-    lo = table.lo[:, column - table.c0]
-    hi = table.hi[:, column - table.c0]
+    lo = table.lo[:, column]
+    hi = table.hi[:, column]
     box = int(np.argmax(np.minimum(y - lo, hi - y)))
     d_lo = y - lo[box]
     d_hi = hi[box] - y

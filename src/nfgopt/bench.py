@@ -300,10 +300,10 @@ def _method(name) -> Method:
 def _warm_kernels(env: BoxEnvironment, grid: TimeGrid, score: ScoreConfig) -> None:
     # Free one 1 MiB block, which glibc's malloc maps and unmaps: that raises
     # its trim threshold to 2 MiB (mallopt(3), dynamic mmap threshold), so
-    # the loop's few hundred kB of temporaries stay in the heap. Otherwise a
-    # process that never freed such a block returns them to the OS and
-    # faults them back in every iteration: about 130k page faults, or
-    # 0.2-0.3 s of a 1.8-1.9 s packaged sweep on a 2-core VM.
+    # each run's workspace and the loop's few kB of temporaries stay in the
+    # heap. Otherwise a process that never freed such a block returns pages
+    # to the OS and faults them back in: a packaged sweep takes 0-5 minor
+    # page faults with the free and about 77 without it (BENCH_10.json).
     np.empty(1 << 17)
     # The first scoring call pays one-time costs; keep them out of the
     # timed run.

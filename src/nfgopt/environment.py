@@ -124,7 +124,9 @@ def penetration_step(env: BoxEnvironment, t: float, y: float) -> float:
 
 
 def penetration_profile(env: BoxEnvironment, values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Per-grid-point penetration values of one 1-D path: (steps,) values at (steps,) grid times."""
+    """Per-grid-point penetration values of one 1-D path: (steps,) values at
+    (steps,) grid times, each :func:`penetration_step` of its point byte for
+    byte, so +0.0 in no box's interior."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or np.shape(times) != values.shape:
         raise ValueError(f"need a 1-D path with one value per grid time, got shapes {values.shape} and {np.shape(times)}")

@@ -2,8 +2,9 @@
 parser, its Configuration section against the config parser and the
 packaged config, its Library example against the package, and the
 package root's exports against the README and the benchmark, its
-Outputs section against the artifact headers, and its buffer paragraph
-against the package's buffer parameters."""
+Outputs section against the artifact headers, its buffer paragraph
+against the package's buffer parameters, and its Backends section against
+the box table's fields."""
 
 import argparse
 import ast
@@ -12,6 +13,7 @@ import json
 import re
 from pathlib import Path
 
+from nfgopt._kernels import BoxTable
 from nfgopt.bench import METHODS, RECORD_FIELDS, TRACE_FIELDS, BenchConfig, load_config, parse_config
 from nfgopt.cli import build_parser
 from nfgopt.trajectory import TRAJECTORY_HEADER
@@ -114,3 +116,10 @@ def test_readme_buffer_paragraph_names_every_buffer_parameter():
         for name in names & {"work", "out", "normals_out"}
     }
     assert sorted(buffers - named) == []
+
+
+def test_readme_backends_names_every_box_table_field():
+    section = re.search(r"## Backends\n(.*?)\n## ", README.read_text(), flags=re.DOTALL).group(1)
+    named = set(re.findall(r"`(\w+)`", section))
+    assert [field for field in BoxTable._fields if field not in named] == []
+    assert re.findall(r"\bc[01]\b", section) == []

@@ -445,17 +445,14 @@ class TestScoringComputesOnlyWhatIsRead:
 
 
 def slot_tensor_profile(values, table):
-    """Reference penetration: all slots at once as (B, J, w) broadcast
+    """Reference penetration: all slots at once as (B, J, m) broadcast
     temporaries over the dense slots, reduced by a maximum over the slot
     axis."""
-    c0, c1, lo, hi = table.c0, table.c1, table.lo, table.hi
-    s = np.zeros_like(values)
-    if c1 == c0:
-        return s
-    v = values[:, None, c0:c1]
-    depth = np.minimum(v - lo, hi - v).max(axis=1)
-    np.negative(np.fmax(depth, 0.0, out=depth), out=s[:, c0:c1])
-    return s
+    if not table.segments:
+        return np.zeros_like(values)
+    v = values[:, None, :]
+    depth = np.minimum(v - table.lo, table.hi - v).max(axis=1)
+    return 0.0 - np.fmax(depth, 0.0)
 
 
 class TestPerSlotPasses:
@@ -554,10 +551,11 @@ def expected_segments(times, boxes):
 
 class TestSegmentKernel:
     """Both penetration passes, per segment for a batch and over the dense
-    slots for one row, equal the dense slot tensor on 200 random box sets
-    byte for byte, and the per-box masks and the select-after-compute
-    scores with it; each row of a batch, scored alone by the one-row pass,
-    equals its row of the batch byte for byte."""
+    slots for one row, equal the dense slot tensor and penetration_step on
+    200 random box sets byte for byte, and the per-box masks, the
+    baselines' feasibility rule and the select-after-compute scores with
+    them; each row of a batch, scored alone by the one-row pass, equals its
+    row of the batch byte for byte."""
 
     SETS = 200
 
@@ -569,10 +567,11 @@ class TestSegmentKernel:
             table = _kernels.box_table(times, boxes)
             segments = [(cols.start, cols.stop, slots) for cols, slots in table.segments]
             assert segments == expected_segments(times, boxes)
-            for (start, stop, slots), after in zip(segments, segments[1:] + [(table.c1, None, None)]):
-                assert table.c0 <= start < stop <= after[0] <= table.c1
+            assert table.lo.shape == table.hi.shape == (table.lo.shape[0], times.size)
+            for (start, stop, slots), after in zip(segments, segments[1:] + [(times.size, None, None)]):
+                assert 0 <= start < stop <= after[0] <= times.size
                 for column in range(start, stop):
-                    lo, hi = table.lo[:, column - table.c0], table.hi[:, column - table.c0]
+                    lo, hi = table.lo[:, column], table.hi[:, column]
                     used = lo < hi
                     assert slots == tuple(zip(lo[used].tolist(), hi[used].tolist()))
                     assert used.tolist() == sorted(used.tolist(), reverse=True)
@@ -583,7 +582,9 @@ class TestSegmentKernel:
         covered = 0
         for _ in range(self.SETS):
             boxes = random_boxes(rng)
-            table = _kernels.box_table(times, boxes)
+            env = BoxEnvironment(tuple(BoxObstacle(*box) for box in boxes.tolist()))
+            table = env.box_table(times)
+            feasible = _collision_free(env, times)
             covered += bool(table.segments)
             for batch in (1, 7, 100):
                 values = random_values(rng, batch, boxes)
@@ -592,11 +593,12 @@ class TestSegmentKernel:
                     expected = slot_tensor_profile(values, table)
                 assert profile.tobytes() == expected.tobytes()
                 np.testing.assert_array_equal(profile, per_box_profile(values, times, boxes))
-                # a zero is -0.0 inside [c0, c1), whatever the segment widths, and +0.0 outside
-                zero = profile == 0.0
-                inside = np.zeros(100, dtype=bool)
-                inside[table.c0 : table.c1] = True
-                assert (np.signbit(profile)[zero] == np.broadcast_to(inside, profile.shape)[zero]).all()
+                # every entry is the point's penetration_step, signed zeros
+                # included, whatever the segment widths
+                steps = [[penetration_step(env, t, y) for t, y in zip(times.tolist(), row)] for row in values.tolist()]
+                assert profile.tobytes() == np.array(steps).tobytes()
+                # the baselines' comparison rule reads the same table
+                assert [feasible(row) for row in values] == (profile == 0.0).all(axis=1).tolist()
                 with np.errstate(all="ignore"):
                     scores = _kernels.batch_scores(values, table, SCORE.lambda_jerk, GRID.dt)
                     expected = all_rows_scores(values, table, SCORE.lambda_jerk, GRID.dt)
