@@ -7,19 +7,20 @@ from a float64 array of shape ``(n_boxes, 4)`` with columns ``t_lo, t_hi,
 y_lo, y_hi``. The table splits the grid columns that some box covers into
 segments, the maximal runs of columns that the same boxes cover. A batch's
 penetration runs one pass per box of a segment over a contiguous copy of
-its columns, with the box's y-interval as two scalars; one path's runs one
-pass over the table's dense slots, which costs about half as much for a
-single row. Containment is closed on all faces and the penetration depth
-at a face is 0, which keeps the score continuous. Both passes score every
-point as ``environment.penetration_step`` does, byte for byte: +0.0 in no
-box's interior. Batch scoring computes the jerk stencil only for the rows
-it scores by jerk, the collision-free ones.
+its columns, with the box's y-interval as two 0-d views of the dense
+slots; one path's runs one pass over all the dense slots, which costs
+about half as much for a single row. Containment is closed on all faces
+and the penetration depth at a face is 0, which keeps the score
+continuous. Both passes score every point as
+``environment.penetration_step`` does, byte for byte: +0.0 in no box's
+interior. Batch scoring computes the jerk stencil only for the rows it
+scores by jerk, the collision-free ones.
 
 One row and a batch take separate paths, selected by B = 1. A batch of
 B >= 2 rows runs its passes in a :class:`Workspace` of 64-byte-aligned
 buffers and allocates no (B, m) array: a run builds one and hands it down
-as ``work``, and a batch that arrives without one builds one at its entry.
-One row uses no workspace and allocates its own small arrays.
+as ``work``; a batch that arrives without one builds one at its entry,
+but a jerk pass takes the row slices. One row uses no workspace.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import ConfigError
 
 BACKEND = "numpy"
 
-# The zero operand of the penetration passes: numpy converts a Python float
-# operand on every ufunc call, and a 0-d array it does not.
+# The penetration passes' zero, 0-d like the box faces: numpy converts a
+# Python float operand on every ufunc call, and takes a 0-d array as is.
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
@@ -42,23 +43,23 @@ _ZERO.flags.writeable = False
 class BoxTable(NamedTuple):
     """Boxes over one time grid.
 
+    ``lo`` and ``hi`` are the only store of the box faces, dense over the
+    grid's columns: slot j of column k holds ``[lo[j, k], hi[j, k]]``, the
+    j-th box covering that column, and slots no box uses hold the empty
+    interval [1, -1]. The rules that read one path or column at a time
+    index them: the one-path penetration pass, the baselines' feasibility
+    comparison and CHOMP's outward normal.
+
     ``segments`` lists, in column order, the maximal runs of columns that
     one set of boxes covers, as ``(columns, slots)``: ``columns`` is the
     run's ``slice`` of the grid and ``slots`` the ``(y_lo, y_hi)`` of its
-    boxes, as floats in the order the boxes were given. Columns in no
-    segment lie in no box.
-
-    ``lo`` and ``hi`` hold the same intervals densely over all the grid's
-    columns, for rules that read one column or one path at a time (the
-    one-path penetration pass, the baselines' feasibility comparison and
-    CHOMP's outward normal): slot j of column k holds ``[lo[j, k], hi[j,
-    k]]``, the j-th box covering that column, and slots no box uses hold
-    the empty interval [1, -1].
+    boxes in box order, as read-only 0-d views of the used dense slots of
+    its first column. Columns in no segment lie in no box.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    segments: tuple[tuple[slice, tuple[tuple[float, float], ...]], ...]
+    segments: tuple[tuple[slice, tuple[tuple[np.ndarray, np.ndarray], ...]], ...]
 
 
 def box_table(times: np.ndarray, boxes: np.ndarray) -> BoxTable:
@@ -74,17 +75,15 @@ def box_table(times: np.ndarray, boxes: np.ndarray) -> BoxTable:
     hi[slot[box, col], col] = boxes[box, 3]
     lo.flags.writeable = hi.flags.writeable = False
     # A run starts at column 0 and wherever the covering boxes change; the
-    # runs some box covers are the segments, and their slots are the used
+    # runs some box covers are the segments, whose slots view the used
     # dense slots of their first column.
     starts = np.flatnonzero(np.concatenate(([True], (covers[:, 1:] != covers[:, :-1]).any(axis=0))))
-    runs = zip(
-        starts.tolist(),
-        [*starts[1:].tolist(), times.size],
-        covers[:, starts].sum(axis=0).tolist(),
-        lo[:, starts].T.tolist(),
-        hi[:, starts].T.tolist(),
+    runs = zip(starts.tolist(), [*starts[1:].tolist(), times.size], covers[:, starts].sum(axis=0).tolist())
+    segments = tuple(
+        (slice(start, stop), tuple((lo[j, start, ...], hi[j, start, ...]) for j in range(n)))
+        for start, stop, n in runs
+        if n
     )
-    segments = tuple((slice(start, stop), tuple(zip(los[:n], his[:n]))) for start, stop, n, los, his in runs if n)
     return BoxTable(lo, hi, segments)
 
 
@@ -103,11 +102,11 @@ class Workspace:
 
     A run builds one before its first iteration and hands it to every
     batch pass as ``work``, and a batch pass called without one builds its
-    own; each pass overwrites what it reads, so no value carries from one
-    batch to the next. It is not shared between runs or threads. A numpy
-    pass into a buffer that is not 64-byte aligned takes about twice as
-    long, and a fresh array lands at whatever 16-byte offset the allocator
-    returns.
+    own, but a jerk pass takes the row slices; each pass overwrites what
+    it reads, so no value carries from one batch to the next. It is not
+    shared between runs or threads. A numpy pass into a buffer that is not
+    64-byte aligned takes about twice as long, and a fresh array lands at
+    whatever 16-byte offset the allocator returns.
 
     - ``normals`` (rows, width): the sampler's standard normals, for a
       width-r factor; width 0 when the normals are drawn straight into
@@ -227,11 +226,12 @@ def third_difference(values: np.ndarray, out: np.ndarray | None = None, *, tmp: 
     """``v[t+3] - 3 v[t+2] + 3 v[t+1] - v[t]`` along the last axis, which
     has ``n - 3`` windows for ``n`` points: the jerk stencil every method
     scores with. Evaluated as ``((v3 - 3 v2) + 3 v1) - v0`` into one output
-    buffer, ``out`` if given; ``tmp``, of the output's shape, takes the
-    ``3 v1`` term, which is allocated without it."""
-    out = np.multiply(values[..., 2:-1], 3.0, out=out)
-    np.subtract(values[..., 3:], out, out=out)
-    out += np.multiply(values[..., 1:-2], 3.0, out=tmp)
+    buffer, ``out`` if given, from one pass ``t = 3 v`` into ``tmp`` (or
+    a new array) over the ``n - 2`` interior points, the only ones a 3 v
+    term reads, so the end points cannot overflow."""
+    t = np.multiply(values[..., 1:-1], 3.0, out=tmp)
+    out = np.subtract(values[..., 3:], t[..., 1:], out=out)
+    out += t[..., :-1]
     return np.subtract(out, values[..., :-3], out=out)
 
 
@@ -282,13 +282,13 @@ def mean_abs_jerk(values: np.ndarray, dt: float, *, work: Workspace | None = Non
     ``np.abs(d3).mean() / dt**3`` computes. A float for one path, an array
     of shape (B,) for a (B, m) batch. A C-contiguous float64 batch of B >= 2
     rows runs the flattened pass in ``work``, a :class:`Workspace` with at
-    least as many values as the batch, or in one the call builds; one row
-    reads no ``work`` and takes the stencil over its row."""
+    least as many values as the batch; without ``work``, and for one row,
+    it takes the stencil over the row slices."""
     total = None
-    batch = values.ndim == 2 and values.shape[0] > 1 and values.shape[1] > 3
+    batch = work is not None and values.ndim == 2 and values.shape[0] > 1 and values.shape[1] > 3
     if batch and values.dtype == np.float64 and values.flags.c_contiguous:
-        total = _flat_abs_jerk_sums(values, Workspace(*values.shape) if work is None else work)
-    if total is None or not np.isfinite(total).all():  # one row, strided, or a window overflowed
+        total = _flat_abs_jerk_sums(values, work)
+    if total is None or not np.isfinite(total).all():  # no work, one row, strided, or a window overflowed
         d3 = third_difference(values)
         total = np.add.reduce(np.abs(d3, out=d3), axis=-1)
     jerk = total / (values.shape[-1] - 3)
@@ -313,7 +313,7 @@ def _flat_abs_jerk_sums(values: np.ndarray, work: Workspace) -> np.ndarray:
     """
     n = values.size
     with np.errstate(all="ignore"):
-        d3 = third_difference(values.reshape(n), out=work.stencil[: n - 3], tmp=work.stencil_tmp[: n - 3])
+        d3 = third_difference(values.reshape(n), out=work.stencil[: n - 3], tmp=work.stencil_tmp[: n - 2])
         np.abs(d3, out=d3)
         return np.add.reduce(work.stencil[:n].reshape(values.shape)[:, :-3], axis=1)
 

@@ -576,6 +576,19 @@ class TestSegmentKernel:
                     assert slots == tuple(zip(lo[used].tolist(), hi[used].tolist()))
                     assert used.tolist() == sorted(used.tolist(), reverse=True)
 
+    def test_segment_faces_are_read_only_views_of_the_dense_slots(self):
+        # the dense slots are the one store of the faces: a segment's faces
+        # are 0-d views into them, which numpy takes without converting
+        rng = np.random.default_rng(20)
+        times = GRID.times()
+        for _ in range(self.SETS):
+            table = _kernels.box_table(times, random_boxes(rng))
+            for _, slots in table.segments:
+                for lo, hi in slots:
+                    for face, dense in ((lo, table.lo), (hi, table.hi)):
+                        assert type(face) is np.ndarray and face.shape == () and face.dtype == np.float64
+                        assert not face.flags.writeable and np.shares_memory(face, dense)
+
     def test_profiles_and_scores_equal_the_references(self):
         rng = np.random.default_rng(21)
         times = GRID.times()
@@ -634,23 +647,44 @@ def reference_scores(values, table):
     return np.where(total == 0.0, bonus, total / values.shape[1])
 
 
+def both_jerk_paths(values, dt):
+    """mean_abs_jerk without work, which takes the row slices, and in a
+    workspace, where a C-contiguous batch of B >= 2 rows takes the
+    flattened pass."""
+    work = _kernels.Workspace(*values.shape)
+    return [_kernels.mean_abs_jerk(values, dt), _kernels.mean_abs_jerk(values, dt, work=work)]
+
+
 class TestBatchJerk:
-    """mean_abs_jerk over a (B, m) batch equals the strided row-by-row
-    reference byte for byte, and raises exactly when the reference does."""
+    """mean_abs_jerk over a (B, m) batch, with and without a workspace,
+    equals the strided row-by-row reference byte for byte, and raises
+    exactly when the reference does; without a workspace it builds none."""
 
     @pytest.mark.parametrize("batch", [1, 2, 7, 100])
     @pytest.mark.parametrize("m", [4, 5, 17, 100, 333])
     def test_equals_strided_reference(self, batch, m):
         values = np.random.default_rng(batch * 1000 + m).normal(scale=0.3, size=(batch, m))
         expected = strided_mean_abs_jerk(values, 0.01)
-        assert _kernels.mean_abs_jerk(values, 0.01).tobytes() == expected.tobytes()
+        for got in both_jerk_paths(values, 0.01):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("batch", [7, 100])
+    def test_a_batch_without_work_builds_no_workspace(self, batch, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a jerk pass without work built a workspace")
+
+        values = np.random.default_rng(batch).normal(scale=0.3, size=(batch, 100))
+        expected = strided_mean_abs_jerk(values, GRID.dt)
+        monkeypatch.setattr(_kernels, "Workspace", refused)
+        assert _kernels.mean_abs_jerk(values, GRID.dt).tobytes() == expected.tobytes()
 
     def test_non_contiguous_batch(self):
         wide = np.random.default_rng(5).normal(size=(7, 120))
         values = wide[:, 10:110]
         assert not values.flags.c_contiguous
         expected = strided_mean_abs_jerk(values, 0.01)
-        assert _kernels.mean_abs_jerk(values, 0.01).tobytes() == expected.tobytes()
+        for got in both_jerk_paths(values, 0.01):
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("odd", [np.inf, -np.inf, np.nan, 1e308])
     def test_rows_with_special_values(self, odd):
@@ -660,16 +694,19 @@ class TestBatchJerk:
         values[5, -1] = -odd
         with np.errstate(all="ignore"):
             expected = strided_mean_abs_jerk(values, 0.01)
-            got = _kernels.mean_abs_jerk(values, 0.01)
-        assert got.tobytes() == expected.tobytes()
+            got = both_jerk_paths(values, 0.01)
+        for jerk in got:
+            assert jerk.tobytes() == expected.tobytes()
 
     def test_window_across_rows_does_not_raise(self):
         # every window within a row is finite; the flattened buffer's window
-        # from the end of row 0 into row 1 overflows, and is not scored
+        # from the end of row 0 into row 1 overflows, and is not scored; the
+        # row slices multiply no end point, so 3 * 1e308 is never formed
         values = np.array([[0.0, 0.0, 0.0, 0.0, 1e308], [-1e308, 0.0, 0.0, 0.0, 0.0]])
         with np.errstate(all="raise"):
-            jerk = _kernels.mean_abs_jerk(values, 1.0)
-        assert jerk.tolist() == [5e307, 5e307]
+            got = both_jerk_paths(values, 1.0)
+        for jerk in got:
+            assert jerk.tolist() == [5e307, 5e307]
         # exp(-lambda_jerk * 5e307) underflows to 0, as it should
         with np.errstate(all="raise", under="ignore"):
             scores = _kernels.batch_scores(values, _kernels.box_table(np.arange(5.0), np.empty((0, 4))), 1e-4, 1.0)
@@ -678,11 +715,12 @@ class TestBatchJerk:
     def test_overflowing_row_still_raises(self):
         values = np.zeros((3, 8))
         values[1, 3:5] = [1e308, -1e308]
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            _kernels.mean_abs_jerk(values, 1.0)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            jerk = _kernels.mean_abs_jerk(values, 1.0)
-        assert jerk[0] == jerk[2] == 0.0 and np.isinf(jerk[1])
+        for work in (None, _kernels.Workspace(3, 8)):
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+                _kernels.mean_abs_jerk(values, 1.0, work=work)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                jerk = _kernels.mean_abs_jerk(values, 1.0, work=work)
+            assert jerk[0] == jerk[2] == 0.0 and np.isinf(jerk[1])
 
 
 class TestWorkspace:
