@@ -110,7 +110,8 @@ class Workspace:
 
     - ``normals`` (rows, width): the sampler's standard normals, for a
       width-r factor; width 0 when the normals are drawn straight into
-      ``perturbations`` (MPPI's Wiener increments);
+      ``perturbations`` (MPPI's Wiener increments, which it draws into
+      ``perturbations`` and two more buffers of its own);
     - ``perturbations`` and ``candidates`` (rows, steps);
     - ``profile`` (rows, steps): the penetration profile, built with 0.0,
       which the batch pass keeps in the columns of no segment, so that it

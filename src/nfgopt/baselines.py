@@ -18,6 +18,7 @@ deterministic gradient method.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import Workspace, plus_rows
 from .environment import BoxEnvironment, ScoreConfig, batch_scores
-from .errors import check_bool, check_integer, check_number
+from .errors import ConfigError, check_bool, check_buffer, check_integer, check_number
 from .nfg import IterationTrace, _draw, _iterate, _norm, _Step
 from .sampling import PerturbationSampler
 from .trajectory import Trajectory
@@ -289,21 +290,54 @@ def _rollout_costs(candidates: np.ndarray, pen: np.ndarray, cfg: MppiConfig) -> 
     return cfg.weight_obs * obstacle + cfg.weight_goal * np.add.reduce(candidates, axis=1)
 
 
-def wiener_noise(
-    sampler: PerturbationSampler, count: int, steps: int, scale: float, stream: int, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Wiener-process perturbations from substream ``stream``, shape (count, steps).
+def wiener_noise(increments: np.ndarray, scale: float) -> np.ndarray:
+    """Wiener-process perturbations from the standard normals ``increments``,
+    shape (count, steps), in place.
 
-    Row s is the cumulative sum of i.i.d. N(0, scale^2) increments with the
-    first increment zeroed, so every path starts at 0 and var(eps_t) grows
-    linearly in t. The increments are drawn, scaled and summed in ``out``,
-    a writeable C-contiguous float64 (count, steps) array (else
-    ConfigError), which is returned; without it in a new array.
+    Row s becomes the cumulative sum of its increments scaled by ``scale``,
+    with the first increment zeroed, so every path starts at 0 and
+    var(eps_t) grows linearly in t. ``increments``, a writeable
+    C-contiguous float64 2-D array (else ConfigError), is returned.
     """
-    increments = sampler.normals(count, steps, stream, out=out)
+    check_buffer(increments, "increments", getattr(increments, "shape", ()))
+    if increments.ndim != 2:
+        raise ConfigError(f"increments must be a (count, steps) array, got shape {increments.shape}")
     increments *= scale
     increments[:, 0] = 0.0
     return np.add.accumulate(increments, axis=1, out=increments)
+
+
+class _Inline:
+    """The draw helper where the process may run on one CPU only, where a
+    helper thread would only contend with the caller: ``submit`` runs the
+    call at once and returns its completed future."""
+
+    def __enter__(self) -> _Inline:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def submit(self, fn, /, *args, **kwargs):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def _draw_helper():
+    """A one-thread executor for MPPI's draws, or an :class:`_Inline` where
+    the process may run on one CPU only. The platform decides, through the
+    CPUs the process may run on (their count where that call is missing)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    if cpus < 2:
+        return _Inline()
+    # Imported here, so that importing nfgopt skips concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def mppi_optimize(
@@ -319,6 +353,16 @@ def mppi_optimize(
     perturbation. The trace's ``best_score`` column holds the negated
     minimum rollout cost. The run's :class:`~nfgopt._kernels.Workspace`
     holds every (rollouts, m) array of its iterations.
+
+    Iteration k's increments are ``sampler.normals(rollouts, m, k)``, a
+    pure function of (seed, k), so they can be drawn early: one helper
+    thread draws iteration k + 2's while the caller integrates and scores
+    iteration k's (numpy releases the GIL during the fill), into a ring of
+    three buffers, ``work.perturbations`` and two more. A buffer goes to
+    the helper only once the iteration that read it has returned its step,
+    and the helper is shut down, its pending draws finished, on every exit.
+    Where the process may run on one CPU only, the draws run inline, in
+    the same order. The results are the same either way.
     """
     values0 = y0.values[:, 0]
     times = y0.grid.times()
@@ -326,13 +370,25 @@ def mppi_optimize(
     scale = cfg.resolved_noise_scale(y0.grid.dt)
     m = values0.shape[0]
     work = Workspace(cfg.rollouts, m, table=table)
+    # iteration k reads ring[k % 3] while the helper fills ring[(k + 2) % 3]
+    ring = (work.perturbations, _kernels._aligned(work.shape), _kernels._aligned(work.shape))
+    pending = []
+
+    def draw(k: int) -> None:
+        if k < cfg.iterations:
+            pending.append(helper.submit(sampler.normals, cfg.rollouts, m, k, out=ring[k % 3]))
 
     def rollout(values: np.ndarray, k: int) -> _Step:
-        eps = wiener_noise(sampler, cfg.rollouts, m, scale, k, out=work.perturbations)
+        increments = pending.pop(0).result()
+        draw(k + 2)  # into the buffer iteration k - 1 read
+        eps = wiener_noise(increments, scale)
         candidates = plus_rows(values, eps, work.candidates)
         pen = _kernels.penetration_profile_batch(candidates, table, work=work)
         costs = _rollout_costs(candidates, pen, cfg)
         return _reweighted(_softmin_raw(costs, cfg.temperature), eps, float(-np.minimum.reduce(costs)))
 
-    values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), rollout)
+    with _draw_helper() as helper:
+        draw(0)
+        draw(1)
+        values, traces = _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), rollout)
     return Trajectory(y0.grid, values), traces

@@ -117,14 +117,20 @@ def batch_weights(scores: np.ndarray, n_pow: float, weight_mode: str) -> np.ndar
     return weights
 
 
-def _draw(values: np.ndarray, sampler: PerturbationSampler, cfg, stream: int, work: Workspace):
+def _draw(values: np.ndarray, sampler: PerturbationSampler, cfg, stream: int, work: Workspace | None):
     """The draw NFG and STOMP share, for ``cfg`` an NfgConfig or a
     StompConfig: the perturbations ``cfg.sigma * sampler.sample(cfg.batch,
     stream)`` and the candidates ``values + perturbations``, in ``work``'s
-    ``perturbations`` and ``candidates``."""
-    eps = sampler.sample(cfg.batch, stream, out=work.perturbations, normals_out=work.normals)
+    ``normals``, ``perturbations`` and ``candidates``, or without it in
+    new arrays. The draws and sums are the same either way."""
+    if work is None:
+        eps = sampler.sample(cfg.batch, stream)
+        candidates = np.empty_like(eps)
+    else:
+        eps = sampler.sample(cfg.batch, stream, out=work.perturbations, normals_out=work.normals)
+        candidates = work.candidates
     eps *= cfg.sigma
-    return eps, plus_rows(values, eps, work.candidates)
+    return eps, plus_rows(values, eps, candidates)
 
 
 def estimate_direction(
@@ -155,8 +161,8 @@ def estimate_direction(
         normals, perturbations and candidates are drawn and summed into its
         ``normals``, ``perturbations`` and ``candidates``, so ``objective``
         receives ``work.candidates``, overwritten by the next call that
-        uses ``work``. Without it the call builds one, and ``objective``
-        receives its new candidates. The direction is the same either way.
+        uses ``work``. Without it they are new arrays, and ``objective``
+        receives the new candidates. The direction is the same either way.
 
     Returns
     -------
@@ -172,7 +178,6 @@ def estimate_direction(
         raise ConfigError(
             f"mu has shape {mu_values.shape} but the covariance factor is {sampler.factor.shape}"
         )
-    work = Workspace(cfg.batch, mu_values.shape[0], sampler.factor.shape[1]) if work is None else work
     eps, candidates = _draw(mu_values, sampler, cfg, stream, work)
     scores = np.asarray(objective(candidates), dtype=np.float64)
     if scores.shape != (cfg.batch,):
@@ -250,8 +255,8 @@ def optimize_objective(
     zero-direction trace row, and continues with fresh samples.
 
     ``work`` goes to every :func:`estimate_direction` call. Without it,
-    each iteration builds a workspace, so ``objective`` gets a fresh batch
-    each iteration, which it may keep; with it, the batch is
+    each iteration draws into new arrays, so ``objective`` gets a fresh
+    batch each iteration, which it may keep; with it, the batch is
     ``work.candidates``, which the next iteration overwrites, so an
     objective that keeps its batch must copy it.
     """

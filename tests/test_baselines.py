@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from nfgopt.baselines import (
     ChompConfig,
     MppiConfig,
     StompConfig,
+    _collision_free,
     _outward_sign,
     _reweighted,
     _rollout_costs,
@@ -26,7 +31,8 @@ from nfgopt.environment import (
     penetration_step,
 )
 from nfgopt import _kernels
-from nfgopt.errors import ConfigError
+from nfgopt.errors import ConfigError, NonFiniteStepError
+from nfgopt.nfg import _iterate
 from nfgopt.sampling import PerturbationSampler, SEKernel, factorize, kernel_matrix
 from nfgopt.trajectory import TimeGrid, Trajectory
 
@@ -337,31 +343,46 @@ class TestMppiPieces:
         assert w[1] > 0.999
 
     def test_wiener_noise_starts_at_zero(self):
-        eps = wiener_noise(bench_sampler(9), 50, 40, 0.3, 0)
+        eps = wiener_noise(bench_sampler(9).normals(50, 40, 0), 0.3)
         assert eps.shape == (50, 40)
         np.testing.assert_array_equal(eps[:, 0], np.zeros(50))
 
     def test_wiener_noise_deterministic(self):
-        a = wiener_noise(bench_sampler(9), 8, 20, 0.3, 0)
-        b = wiener_noise(bench_sampler(9), 8, 20, 0.3, 0)
+        a = wiener_noise(bench_sampler(9).normals(8, 20, 0), 0.3)
+        b = wiener_noise(bench_sampler(9).normals(8, 20, 0), 0.3)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("count, steps, stream", [(1, 4, 0), (8, 20, 3), (100, 100, 7)])
-    def test_wiener_noise_into_out_equals_new_noise(self, count, steps, stream):
-        out = np.full((count, steps), np.nan)
-        got = wiener_noise(bench_sampler(9), count, steps, 0.3, stream, out=out)
-        assert got is out
-        assert out.tobytes() == wiener_noise(bench_sampler(9), count, steps, 0.3, stream).tobytes()
+    def test_wiener_noise_works_in_place_and_returns_its_input(self, count, steps, stream):
+        increments = bench_sampler(9).normals(count, steps, stream)
+        expected = wiener_noise(increments.copy(), 0.3)
+        got = wiener_noise(increments, 0.3)
+        assert got is increments
+        assert increments.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
-        "out", [np.zeros((8, 21)), np.zeros((8, 20), dtype=np.float32), np.zeros((8, 40))[:, ::2], np.zeros((20, 8)).T]
+        "increments",
+        [
+            np.zeros((8, 20), dtype=np.float32),
+            np.zeros((8, 40))[:, ::2],
+            np.zeros((20, 8)).T,
+            np.zeros(20),
+            np.zeros((2, 8, 20)),
+            [[0.0] * 20] * 8,
+        ],
     )
-    def test_wiener_noise_rejects_a_buffer_that_cannot_take_it(self, out):
-        with pytest.raises(ConfigError, match=r"out must be .* of shape \(8, 20\)"):
-            wiener_noise(bench_sampler(9), 8, 20, 0.3, 0, out=out)
+    def test_wiener_noise_rejects_a_buffer_that_cannot_take_the_increments(self, increments):
+        with pytest.raises(ConfigError, match=r"increments must be"):
+            wiener_noise(increments, 0.3)
+
+    def test_wiener_noise_rejects_a_read_only_buffer(self):
+        increments = np.zeros((8, 20))
+        increments.flags.writeable = False
+        with pytest.raises(ConfigError, match=r"increments must be .* writeable"):
+            wiener_noise(increments, 0.3)
 
     def test_wiener_variance_grows_linearly(self):
-        eps = wiener_noise(bench_sampler(10), 20000, 101, 1.0, 0)
+        eps = wiener_noise(bench_sampler(10).normals(20000, 101, 0), 1.0)
         v25 = eps[:, 25].var()
         v100 = eps[:, 100].var()
         assert v25 == pytest.approx(25.0, rel=0.05)
@@ -392,7 +413,7 @@ class TestMppiOptimize:
         )
         sampler = bench_sampler(13)
         out, traces = mppi_optimize(y0, ENV, cfg, sampler)
-        eps = wiener_noise(sampler, 8, 10, 0.2, 0)
+        eps = wiener_noise(sampler.normals(8, 10, 0), 0.2)
         candidates = y0.values[:, 0][None, :] + eps
         pen = np.array([penetration_profile(ENV, c, grid.times()) for c in candidates])
         costs = 2.0 * (-pen).sum(axis=1) + 0.3 * ((candidates - 0.5) ** 2).sum(axis=1)
@@ -426,6 +447,166 @@ class TestMppiOptimize:
             mppi_optimize(y0, ENV, MppiConfig(), bench_sampler())
 
 
+def reference_mppi(y0, env, cfg, sampler):
+    """MPPI as a loop that draws each iteration's increments inline, just
+    before it integrates them, with the rollout formula written out."""
+    values0 = y0.values[:, 0]
+    times = y0.grid.times()
+    table = env.box_table(times)
+    scale = cfg.resolved_noise_scale(y0.grid.dt)
+
+    def rollout(values, k):
+        eps = wiener_noise(sampler.normals(cfg.rollouts, values.shape[0], k), scale)
+        candidates = values[None, :] + eps
+        pen = _kernels.penetration_profile_batch(candidates, table)
+        costs = _rollout_costs(candidates, pen, cfg)
+        return _reweighted(_softmin_raw(costs, cfg.temperature), eps, float(-np.minimum.reduce(costs)))
+
+    return _iterate(values0, cfg.iterations, cfg.early_stop, _collision_free(env, times), rollout)
+
+
+def trace_columns(traces):
+    """Every trace column but the wall time: the flags as a list, the
+    floats as bytes."""
+    flags = [(t.iteration, t.feasible) for t in traces]
+    return flags, np.array([[t.best_score, t.mean_weight, t.estimator_norm] for t in traces]).tobytes()
+
+
+# one small box the zero path crosses: MPPI clears it at iteration 4 of 10
+ONE_BOX = BoxEnvironment((BoxObstacle(0.4, 0.6, -0.1, 0.1),))
+EARLY = MppiConfig(rollouts=32, iterations=10, noise_scale=0.05, weight_obs=10.0, weight_goal=0.0, early_stop=True)
+
+
+@pytest.fixture(params=["thread", "inline"])
+def cpus(request, monkeypatch):
+    """Two CPUs (a helper thread draws) or one (the draws run inline)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if request.param == "thread" else {0}, raising=False)
+    return request.param
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """(stream, thread ident) of every normals call, in call order."""
+    calls = []
+    normals = PerturbationSampler.normals
+
+    def recorded(self, count, width, stream, **kwargs):
+        calls.append((stream, threading.get_ident()))
+        return normals(self, count, width, stream, **kwargs)
+
+    monkeypatch.setattr(PerturbationSampler, "normals", recorded)
+    return calls
+
+
+class TestDrawHelper:
+    """MPPI's increments, drawn two iterations ahead on a helper thread or
+    inline on one CPU, give the records of a loop that draws each one when
+    it needs it, byte for byte; the helper leaves no thread behind."""
+
+    def assert_equals_reference(self, y0, env, cfg, seed):
+        got, traces = mppi_optimize(y0, env, cfg, bench_sampler(seed))
+        want, want_traces = reference_mppi(y0, env, cfg, bench_sampler(seed))
+        assert got.values[:, 0].tobytes() == want.tobytes()
+        assert trace_columns(traces) == trace_columns(want_traces)
+        return traces
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 10])
+    def test_equals_inline_reference(self, cpus, iterations):
+        cfg = MppiConfig(iterations=iterations, weight_obs=10.0, weight_goal=0.15)
+        traces = self.assert_equals_reference(traj_1d(GRID, np.zeros(100)), ENV, cfg, 7)
+        assert len(traces) == iterations
+
+    def test_early_stop_with_two_draws_pending(self, cpus, drawn):
+        traces = self.assert_equals_reference(traj_1d(GRID, np.zeros(100)), ONE_BOX, EARLY, 2)
+        drawn.clear()
+        mppi_optimize(traj_1d(GRID, np.zeros(100)), ONE_BOX, EARLY, bench_sampler(2))
+        # stopped at the top of iteration 4 with its draw and the next one
+        # submitted: both finish before the run returns
+        assert len(traces) == 4
+        assert [stream for stream, _ in drawn] == list(range(6))
+
+    def test_equals_inline_reference_under_a_tiny_switch_interval(self, cpus):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_equals_reference(traj_1d(GRID, np.zeros(100)), ENV, MppiConfig(iterations=10), 3)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_runs_on_one_sampler_equal_the_reference(self, cpus):
+        # more runs than cores, each with its own helper, all drawing from
+        # one sampler under a tiny switch interval: a draw that lost the
+        # sampler's lock, or a buffer filled while it was read, would change
+        # some run's values
+        y0 = traj_1d(GRID, np.zeros(100))
+        cfg = MppiConfig(iterations=10, weight_obs=10.0)
+        want, _ = reference_mppi(y0, ENV, cfg, bench_sampler(5))
+        sampler = bench_sampler(5)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = mppi_optimize(y0, ENV, cfg, sampler)[0].values[:, 0].tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want.tobytes()] * 4
+
+    def test_draws_each_stream_once_on_one_helper_thread(self, cpus, drawn):
+        mppi_optimize(traj_1d(GRID, np.zeros(100)), ENV, MppiConfig(iterations=5), bench_sampler(0))
+        assert [stream for stream, _ in drawn] == list(range(5))
+        threads = {ident for _, ident in drawn}
+        if cpus == "thread":
+            assert len(threads) == 1 and threading.get_ident() not in threads
+        else:
+            assert threads == {threading.get_ident()}
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, drawn):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def start(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        self.assert_equals_reference(traj_1d(GRID, np.zeros(100)), ENV, MppiConfig(iterations=3), 4)
+        assert {ident for _, ident in drawn} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpu_count", [1, None])
+    def test_without_affinity_one_cpu_count_draws_inline(self, monkeypatch, drawn, cpu_count):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        mppi_optimize(traj_1d(GRID, np.zeros(100)), ENV, MppiConfig(iterations=3), bench_sampler(0))
+        assert {ident for _, ident in drawn} == {threading.get_ident()}
+
+    def test_no_thread_outlives_a_run_that_returns(self, cpus):
+        before = threading.active_count()
+        mppi_optimize(traj_1d(GRID, np.zeros(100)), ENV, MppiConfig(iterations=10), bench_sampler(0))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_run_that_stops_early(self, cpus):
+        before = threading.active_count()
+        _, traces = mppi_optimize(traj_1d(GRID, np.zeros(100)), ONE_BOX, EARLY, bench_sampler(2))
+        assert len(traces) < EARLY.iterations - 2
+        assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+    )
+    def test_no_thread_outlives_a_run_that_raises(self, cpus):
+        before = threading.active_count()
+        with pytest.raises(NonFiniteStepError):
+            mppi_optimize(traj_1d(GRID, np.zeros(100)), ENV, MppiConfig(noise_scale=1e300), bench_sampler(0))
+        assert threading.active_count() == before
+
+
 class TestInPlaceRollout:
     """MPPI's in-place rollout and the reweighting equal their written-out
     numpy expressions, byte for byte."""
@@ -441,7 +622,7 @@ class TestInPlaceRollout:
         env = ENV if boxes == "narrow-passage" else BoxEnvironment(ENV.boxes[2:])
         table = env.box_table(GRID.times())
         for k in range(5):
-            candidates = 0.4 * np.sin(np.linspace(0.0, 3.0, 100)) + wiener_noise(sampler, 100, 100, 0.05, k)
+            candidates = 0.4 * np.sin(np.linspace(0.0, 3.0, 100)) + wiener_noise(sampler.normals(100, 100, k), 0.05)
             candidates[:3] = goal  # a zero goal term, and a zero obstacle sum of +0 and -0 in the slot
             candidates[3:6] = 10.0  # above every box: a zero obstacle sum
             pen = _kernels.penetration_profile_batch(candidates, table)
@@ -455,7 +636,7 @@ class TestInPlaceRollout:
         increments = scale * sampler.normals(100, 100, 2)
         increments[:, 0] = 0.0
         expected = np.cumsum(increments, axis=1)
-        assert wiener_noise(sampler, 100, 100, scale, 2).tobytes() == expected.tobytes()
+        assert wiener_noise(sampler.normals(100, 100, 2), scale).tobytes() == expected.tobytes()
 
     def test_reweighted_equals_sum_mean_and_norm(self):
         rng = np.random.default_rng(8)

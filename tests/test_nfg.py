@@ -190,15 +190,42 @@ class TestOptimizeObjective:
         assert reused.tobytes() == fresh.tobytes()
         columns = lambda t: (t.iteration, t.best_score, t.mean_weight, t.estimator_norm, t.feasible)
         assert [columns(t) for t in traces] == [columns(t) for t in fresh_traces]
-        # without a workspace each iteration builds one, so each batch is a
-        # new array, which the objective may keep; with one every batch is
-        # work.candidates
+        # without a workspace each iteration draws into new arrays, which
+        # the objective may keep; with one every batch is work.candidates
         assert len({id(v) for v, _ in batches["fresh"]}) == cfg.iterations
         assert all(np.array_equal(v, scored) for v, scored in batches["fresh"])
         assert all(v is work.candidates for v, _ in batches["work"])
         assert [a.tobytes() for _, a in batches["work"]] == [a.tobytes() for _, a in batches["fresh"]]
         first = np.zeros(5)[None, :] + cfg.sigma * sampler.sample(cfg.batch, 0)
         assert batches["work"][0][1].tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("weight_mode", ["shifted", "raw"])
+    def test_direction_without_work_builds_no_workspace(self, monkeypatch, weight_mode):
+        # the packaged task's factor (m = 100, r = 12) and a batch of 100:
+        # the direction drawn into new arrays equals, byte for byte, the one
+        # drawn in a run's workspace, and no workspace is built for it
+        from nfgopt import _kernels, nfg
+        from nfgopt.sampling import principal_factor
+
+        grid = TimeGrid(1.0, 100.0)
+        factor = principal_factor(factor_for(grid, 0.29, 0.22), 1e-6 * 0.29)
+        cfg = NfgConfig(sigma=0.5, n_pow=20.0, batch=100, weight_mode=weight_mode)
+        sampler = PerturbationSampler(factor, seed=3)
+        mu = np.sin(np.linspace(0.0, 2.0, 100))
+        objective = lambda v: -np.abs(v).mean(axis=1)
+        work = Workspace(cfg.batch, 100, factor.shape[1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a workspace was built")
+
+        for stream in (0, 7):
+            worked, stats = estimate_direction(mu, objective, sampler, cfg, stream, work=work)
+            with monkeypatch.context() as patch:
+                patch.setattr(nfg, "Workspace", refuse)
+                patch.setattr(_kernels, "Workspace", refuse)
+                fresh, fresh_stats = estimate_direction(mu, objective, sampler, cfg, stream)
+            assert fresh.tobytes() == worked.tobytes()
+            assert fresh_stats == stats
 
     def test_step_is_step_size_along_the_unit_direction(self):
         _, cfg, sampler = self.linear_setup(iterations=1, step_size=0.25)
