@@ -20,7 +20,8 @@ One row and a batch take separate paths, selected by B = 1. A batch of
 B >= 2 rows runs its passes in a :class:`Workspace` of 64-byte-aligned
 buffers and allocates no (B, m) array: a run builds one and hands it down
 as ``work``; a batch that arrives without one builds one at its entry,
-but a jerk pass takes the row slices. One row uses no workspace.
+but a jerk pass takes the row slices. One row uses no workspace:
+building one costs more than a whole one-row score.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class BoxTable(NamedTuple):
     one set of boxes covers, as ``(columns, slots)``: ``columns`` is the
     run's ``slice`` of the grid and ``slots`` the ``(y_lo, y_hi)`` of its
     boxes in box order, as read-only 0-d views of the used dense slots of
-    its first column. Columns in no segment lie in no box.
+    its first column. Columns in no segment lie in no box. On the packaged
+    100-column grid the narrow passage has three segments: columns
+    [20, 26) and [40, 61) under one box each and [70, 100) under two.
     """
 
     lo: np.ndarray

@@ -329,7 +329,9 @@ class _Inline:
 def _draw_helper():
     """A one-thread executor for MPPI's draws, or an :class:`_Inline` where
     the process may run on one CPU only. The platform decides, through the
-    CPUs the process may run on (their count where that call is missing)."""
+    CPUs the process may run on (their count where that call is missing).
+    Each ``--parallel`` worker process starts its own helper per MPPI run,
+    so N workers use up to 2N threads."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
     if cpus < 2:

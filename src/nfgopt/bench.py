@@ -304,6 +304,7 @@ def _warm_kernels(env: BoxEnvironment, grid: TimeGrid, score: ScoreConfig) -> No
     # heap. Otherwise a process that never freed such a block returns pages
     # to the OS and faults them back in: a packaged sweep takes 0-5 minor
     # page faults with the free and about 77 without it (BENCH_10.json).
+    # Under other allocators the block is only allocated and freed.
     np.empty(1 << 17)
     # The first scoring call pays one-time costs; keep them out of the
     # timed run.

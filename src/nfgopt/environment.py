@@ -154,8 +154,8 @@ def batch_scores(
     The scores are the same either way.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"values must be 2-D (batch, steps), got shape {values.shape}")
+    if values.ndim != 2 or values.shape[0] == 0:
+        raise ValueError(f"values must be 2-D (batch, steps) with at least one row, got shape {values.shape}")
     if values.shape[1] < 4:
         raise ValueError(f"scoring needs at least 4 grid points, got {values.shape[1]}")
     if np.shape(times) != values.shape[1:]:

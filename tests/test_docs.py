@@ -3,8 +3,10 @@ parser, its Configuration section against the config parser and the
 packaged config, its Library example against the package, and the
 package root's exports against the README and the benchmark, its
 Outputs section against the artifact headers, its buffer paragraph
-against the package's buffer parameters, and its Backends section against
-the box table's fields."""
+against the package's buffer parameters, its Backends section against
+the box table's fields, and every test node id it cites against the test
+files. The README holds no timing in µs or ms, and Backends and
+Determinism, stated as contracts, hold no percentage."""
 
 import argparse
 import ast
@@ -123,3 +125,42 @@ def test_readme_backends_names_every_box_table_field():
     named = set(re.findall(r"`(\w+)`", section))
     assert [field for field in BoxTable._fields if field not in named] == []
     assert re.findall(r"\bc[01]\b", section) == []
+
+
+def contract_sections(text):
+    """The README's Backends and Determinism sections, by name."""
+    return {
+        name: re.search(rf"## {name}\n(.*?)(?:\n## |\Z)", text, flags=re.DOTALL).group(1)
+        for name in ("Backends", "Determinism")
+    }
+
+
+def test_readme_cites_only_tests_that_exist():
+    # each `tests/<file>.py::<Class>::<test>` node id resolves, by ast, to
+    # a class or function of that file; Backends and Determinism cite some
+    text = README.read_text()
+    pattern = r"`((?:perfbench/)?tests/\w+\.py)((?:::\w+)+)`"
+    for name, body in contract_sections(text).items():
+        assert re.search(pattern, body), name
+    unresolved = []
+    for path, names in re.findall(pattern, text):
+        file = README.parent / path
+        scope = ast.parse(file.read_text()).body if file.is_file() else []
+        for name in names.split("::")[1:]:
+            found = [
+                node
+                for node in scope
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+            ]
+            if not found:
+                unresolved.append(path + names)
+                break
+            scope = found[0].body
+    assert unresolved == []
+
+
+def test_readme_states_no_timings_and_contracts_no_percentages():
+    text = README.read_text()
+    assert re.findall(r"\d\s*(?:µs|μs|us|ms)\b", text) == []
+    for name, body in contract_sections(text).items():
+        assert re.findall(r"\d\s*%", body) == [], name

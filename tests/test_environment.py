@@ -1,6 +1,7 @@
 import ast
 import copy
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -184,9 +185,11 @@ class TestTrajectoryScore:
         after = batch_scores(bigger, values, GRID.times(), GRID.dt, SCORE)
         assert np.all(after <= before + 1e-12)
 
-    def test_multi_dim_rejected(self):
-        with pytest.raises(ValueError, match="2-D"):
-            batch_scores(ENV, np.zeros((1, 100, 2)), GRID.times(), GRID.dt, SCORE)
+    @pytest.mark.parametrize("env", [ENV, BoxEnvironment(())], ids=["narrow-passage", "free-space"])
+    @pytest.mark.parametrize("values", [np.zeros((1, 100, 2)), np.zeros((0, 100))], ids=["3-D", "empty"])
+    def test_multi_dim_rejected(self, env, values):
+        with pytest.raises(ValueError, match=r"2-D .* got shape " + re.escape(str(values.shape))):
+            batch_scores(env, values, GRID.times(), GRID.dt, SCORE)
 
     @pytest.mark.parametrize(
         "values, times",
