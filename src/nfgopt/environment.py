@@ -128,8 +128,11 @@ def penetration_profile(env: BoxEnvironment, values: np.ndarray, times: np.ndarr
     (steps,) grid times, each :func:`penetration_step` of its point byte for
     byte, so +0.0 in no box's interior."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or np.shape(times) != values.shape:
-        raise ValueError(f"need a 1-D path with one value per grid time, got shapes {values.shape} and {np.shape(times)}")
+    if values.ndim != 1 or values.size == 0 or np.shape(times) != values.shape:
+        raise ValueError(
+            "need a 1-D path with one value per grid time and at least one grid time, "
+            f"got shapes {values.shape} and {np.shape(times)}"
+        )
     return _kernels.penetration_profile_batch(values[None, :], env.box_table(times))[0]
 
 

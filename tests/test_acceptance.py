@@ -3,10 +3,13 @@
 Every criterion test prints one ``[criterion N] PASS/FAIL`` line directly
 to the terminal (bypassing capture) before asserting, so a plain
 ``pytest -v`` shows the verdict for each criterion. The golden records test
-pins the packaged benchmark's records themselves.
+pins the benchmark's records themselves: a fresh sweep of each perfbench
+workload against its ``tests/golden/<workload>_records.csv``, exact on
+method, seed, success and iterations_used, to a relative 1e-9 on
+path_length and avg_jerk, runtime_s ignored.
 """
 
-import re
+import json
 import time
 from pathlib import Path
 
@@ -23,13 +26,15 @@ from nfgopt import (
     kernel_matrix,
     load_config,
     optimize_objective,
+    parse_config,
+    read_records_csv,
     run_benchmark,
 )
-from nfgopt.bench import aggregate, format_summary
 from nfgopt.trajectory import WaypointPath, arc_length_times, resample
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_PATH = ROOT / "configs" / "narrow_passage.json"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 BENCH_VARIANCE = 0.29
 BENCH_LENGTH = 0.22
@@ -104,61 +109,29 @@ class TestCriterion1BenchmarkOrdering:
         report(1, "benchmark method ordering", ok, detail)
 
 
-# Records of the packaged config: (method, seed, success, path_length,
-# avg_jerk, iterations_used). A change to any of them changes what the
-# benchmark reports and has to be deliberate.
-GOLDEN_RECORDS = [
-    ("nfg", 0, True, 9.85868066900888, 3113.97204720414, 100),
-    ("nfg", 1, True, 10.234725678196662, 8848.826042413632, 100),
-    ("nfg", 2, True, 11.524235727316748, 13207.184302204125, 100),
-    ("nfg", 3, True, 9.68671559087, 10507.35894850509, 100),
-    ("nfg", 4, True, 10.112046661889975, 16189.4947748593, 100),
-    ("stomp", 0, False, 9.30694916320924, None, 100),
-    ("stomp", 1, True, 9.919722218779055, 13558.564771328938, 100),
-    ("stomp", 2, False, 8.450819763872659, None, 100),
-    ("stomp", 3, False, 8.786659213946466, None, 100),
-    ("stomp", 4, True, 8.791428277315081, 12272.651866127406, 100),
-    ("chomp", 0, False, 4.000000000000002, None, 100),
-    ("chomp", 1, False, 4.000000000000002, None, 100),
-    ("chomp", 2, False, 4.000000000000002, None, 100),
-    ("chomp", 3, False, 4.000000000000002, None, 100),
-    ("chomp", 4, False, 4.000000000000002, None, 100),
-    ("mppi", 0, False, 25.602110855176264, None, 100),
-    ("mppi", 1, False, 24.488731418181512, None, 100),
-    ("mppi", 2, True, 24.00032324368705, 566760.8840278904, 100),
-    ("mppi", 3, False, 27.566064308108544, None, 100),
-    ("mppi", 4, False, 24.075806467856193, None, 100),
-]
-
-
 class TestGoldenRecords:
-    def test_packaged_config_reproduces_golden_records(self, full_benchmark):
-        _, records, _, _ = full_benchmark
-        got = [(r.method, r.seed, r.success, r.iterations_used) for r in records]
-        assert got == [(m, s, ok, n) for m, s, ok, _, _, n in GOLDEN_RECORDS]
+    # each golden file is the records.csv that `bench run` wrote for that
+    # workload; a change to a record's other fields changes what the
+    # benchmark reports and has to be deliberate
+    @pytest.mark.parametrize("workload", ["narrow_passage", "free_space"])
+    def test_sweep_reproduces_golden_records(self, workload, request, tmp_path):
+        if workload == "narrow_passage":
+            _, records, _, _ = request.getfixturevalue("full_benchmark")
+        else:
+            raw = json.loads(CONFIG_PATH.read_text())
+            raw["environment"] = "free-space"
+            records = run_benchmark(parse_config(raw), out_dir=str(tmp_path))
+        golden = read_records_csv(str(GOLDEN_DIR / f"{workload}_records.csv"))
+
+        def exact(r):
+            return (r.method, r.seed, r.success, r.iterations_used)
+
+        assert [exact(r) for r in records] == [exact(g) for g in golden]
         # the BLAS thread count moves lengths and jerks by about 1e-12
         # relative, so those are compared to a relative 1e-9
-        for record, (_, _, _, length, jerk, _) in zip(records, GOLDEN_RECORDS):
-            assert record.path_length == pytest.approx(length, rel=1e-9, abs=0.0), record
-            if jerk is None:
-                assert record.avg_jerk is None, record
-            else:
-                assert record.avg_jerk == pytest.approx(jerk, rel=1e-9, abs=0.0), record
-
-
-class TestReadmeQuickStartTable:
-    def test_table_matches_packaged_run_except_time(self, full_benchmark):
-        _, records, _, _ = full_benchmark
-        quick_start = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
-        table = re.search(r"```\n(method .*?)```", quick_start, flags=re.DOTALL).group(1)
-
-        def cells(text):
-            # columns are separated by at least two spaces; cell 2 is time (s)
-            rows = [re.split(r"\s{2,}", line.strip()) for line in text.strip().splitlines()]
-            assert all(len(row) == 5 for row in rows), rows
-            return [row[:2] + row[3:] for row in rows]
-
-        assert cells(table) == cells(format_summary(aggregate(records)))
+        for record, expected in zip(records, golden):
+            got = (record.path_length, record.avg_jerk)
+            assert got == pytest.approx((expected.path_length, expected.avg_jerk), rel=1e-9, abs=0.0), record
 
 
 class TestCriterion2SmoothedGradientIdentity:

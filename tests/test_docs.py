@@ -1,4 +1,5 @@
-"""The README against the code: its CLI block against the argument
+"""The README against the code: its Quick start table against ``bench
+summarize`` of the golden records, its CLI block against the argument
 parser, its Configuration section against the config parser and the
 packaged config, its Library example against the package, and the
 package root's exports against the README and the benchmark, its
@@ -17,10 +18,19 @@ from pathlib import Path
 
 from nfgopt._kernels import BoxTable
 from nfgopt.bench import METHODS, RECORD_FIELDS, TRACE_FIELDS, BenchConfig, load_config, parse_config
-from nfgopt.cli import build_parser
+from nfgopt.cli import build_parser, main
 from nfgopt.trajectory import TRAJECTORY_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+NARROW_PASSAGE_GOLDEN = README.parent / "tests" / "golden" / "narrow_passage_records.csv"
+
+
+def test_readme_quick_start_table_is_bench_summarize_of_the_golden_records(capsys):
+    # byte for byte, the time column included
+    quick_start = README.read_text().split("## Quick start", 1)[1]
+    table = re.search(r"```\n(method .*?)```", quick_start, flags=re.DOTALL).group(1)
+    assert main(["summarize", "--records", str(NARROW_PASSAGE_GOLDEN)]) == 0
+    assert table == capsys.readouterr().out
 
 
 def test_readme_cli_block_names_every_option():

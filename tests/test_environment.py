@@ -199,6 +199,7 @@ class TestTrajectoryScore:
             (0.0, GRID.times()),
             (np.zeros(99), GRID.times()),
             (np.zeros(100), GRID.times()[None, :]),
+            (np.zeros(0), np.zeros(0)),
         ],
     )
     def test_penetration_profile_checks_its_arguments(self, values, times):
